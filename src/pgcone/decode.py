@@ -9,7 +9,8 @@ from itertools import combinations
 from math import comb
 
 from .cone import PseudoCodeword, cone_constraints
-from .errors import EmptyFlips, RowWeightTooLarge, TooManyPatterns
+from .errors import (EmptyFlips, LpNotOptimal, RowWeightTooLarge,
+                     TooManyPatterns)
 from .plane import ParityCheck
 from .simplex import EQ, GE, LE, OPTIMAL, LinearProgram, lp_solve
 import random
@@ -72,7 +73,8 @@ def zero_optimal(H: ParityCheck, llr: LLRVector, constraints=None) -> DecodeOutc
     lp = LinearProgram(objective=list(llr.entries), constraints=rows,
                        bounds=[(0, None)] * n)
     res = lp_solve(lp)
-    assert res.status == OPTIMAL
+    if res.status != OPTIMAL:
+        raise LpNotOptimal(f"cone-slice LP ended {res.status}")
     value = res.optimal_value
     if value > 0:
         return DecodeOutcome(ZERO_STRICTLY_OPTIMAL, value)
@@ -119,7 +121,8 @@ def feldman_lp_decode(H: ParityCheck, llr: LLRVector):
     lp = LinearProgram(objective=list(llr.entries), constraints=rows,
                        bounds=[(0, 1)] * n)
     res = lp_solve(lp)
-    assert res.status == OPTIMAL
+    if res.status != OPTIMAL:
+        raise LpNotOptimal(f"polytope LP ended {res.status}")
     sol = tuple(res.solution)
     integral = all(x in (0, 1) for x in sol)
     return sol, integral

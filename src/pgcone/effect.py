@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 
 from .cone import PseudoCodeword
-from .errors import IncompleteRaySet
+from .errors import IncompleteRaySet, LpNotOptimal
 from .rays import RaySet
 from .simplex import GE, OPTIMAL, LinearProgram, lp_solve
 
@@ -91,7 +91,8 @@ def awgnc_first_kind(rayset: RaySet, omega) -> EffectivenessReport:
     lp = LinearProgram(objective=list(target), constraints=rows,
                        bounds=[(-1, 1)] * n)
     res = lp_solve(lp)
-    assert res.status == OPTIMAL
+    if res.status != OPTIMAL:
+        raise LpNotOptimal(f"box-bounded witness LP ended {res.status}")
     if res.optimal_value < 0:
         return EffectivenessReport(target, "AWGNC", FIRST,
                                    tuple(res.solution))

@@ -71,3 +71,7 @@ class SearchExhausted(PgconeError):
 
 class NoZeroLinePair(PgconeError):
     pass
+
+
+class LpNotOptimal(PgconeError):
+    """An LP that must have an optimum ended with another status."""

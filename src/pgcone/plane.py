@@ -216,10 +216,6 @@ def gf2_nullspace(H: ParityCheck):
     return basis
 
 
-def _mask_bits(m, n):
-    return [(m >> i) & 1 for i in range(n)]
-
-
 def mask_to_vector(m, n):
     return tuple((m >> i) & 1 for i in range(n))
 

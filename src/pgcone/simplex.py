@@ -2,10 +2,24 @@
 
 All arithmetic is over fractions.Fraction; there is no floating point in
 this module, so sign decisions at degenerate points are exact.
+
+The start basis is made of slacks wherever it can be. Every row is
+oriented so that its right-hand side is nonnegative, and a ``>=`` row with
+b == 0 is negated too, so that each ``<=`` row with b >= 0 and each ``>=``
+row with b <= 0 starts with its slack basic at coefficient +1. Only the
+remaining rows (``==`` rows, ``>=`` rows with b > 0, ``<=`` rows with
+b < 0) get an artificial column and go through phase 1; an LP without
+such rows skips phase 1. Phase 2 runs without the artificial columns.
+
+Pivots are sparse: a pivot collects the nonzero columns of its row once
+and updates only those entries, in place, in the rows and the objective
+row that have a nonzero in the pivot column.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+from .errors import LpNotOptimal
 
 GE = ">="
 LE = "<="
@@ -14,6 +28,9 @@ EQ = "=="
 OPTIMAL = "Optimal"
 UNBOUNDED = "Unbounded"
 INFEASIBLE = "Infeasible"
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass
@@ -57,8 +74,9 @@ class LpResult:
 def _to_standard_form(lp: LinearProgram):
     """Rewrite as min c.y, A y (rel) b with y >= 0.
 
-    Returns (c, rows, recover) where recover maps a standard-form solution
-    back to the original variables.
+    Returns (c, nstd, rows, recover): rows hold their coefficients as a
+    sparse {std index: value} dict, and recover maps a standard-form
+    solution back to the original variables.
     """
     n = len(lp.objective)
     var_terms = []   # per original var: list of (std index, sign)
@@ -70,7 +88,7 @@ def _to_standard_form(lp: LinearProgram):
             var_terms.append([(nstd, 1)])
             var_shift.append(lo)
             if hi is not None:
-                extra_rows.append(({nstd: Fraction(1)}, LE, hi - lo))
+                extra_rows.append(({nstd: _ONE}, LE, hi - lo))
             nstd += 1
         elif hi is not None:
             # x = hi - y with y >= 0
@@ -79,23 +97,26 @@ def _to_standard_form(lp: LinearProgram):
             nstd += 1
         else:
             var_terms.append([(nstd, 1), (nstd + 1, -1)])
-            var_shift.append(Fraction(0))
+            var_shift.append(_ZERO)
             nstd += 2
 
     def expand(row):
+        # Each standard index belongs to exactly one original variable, so
+        # every entry is set once and nothing is accumulated.
         out = {}
-        const = Fraction(0)
+        const = _ZERO
         for k, a in enumerate(row):
-            if a == 0:
+            if not a:
                 continue
-            const += a * var_shift[k]
+            shift = var_shift[k]
+            if shift:
+                const += a * shift
             for idx, sign in var_terms[k]:
-                out[idx] = out.get(idx, Fraction(0)) + sign * a
+                out[idx] = a if sign > 0 else -a
         return out, const
 
-    c = [Fraction(0)] * nstd
-    obj_map, obj_const = expand(lp.objective)
-    for idx, a in obj_map.items():
+    c = [_ZERO] * nstd
+    for idx, a in expand(lp.objective)[0].items():
         c[idx] = a
     rows = []
     for row, rel, b in lp.constraints:
@@ -112,130 +133,125 @@ def _to_standard_form(lp: LinearProgram):
             xs.append(val)
         return xs
 
-    return c, nstd, rows, obj_const, recover
+    return c, nstd, rows, recover
+
+
+def _needs_artificial(rel, b):
+    """True unless the oriented row has its slack at +1 with b >= 0."""
+    return rel == EQ or (rel == GE and b > 0) or (rel == LE and b < 0)
 
 
 def lp_solve(lp: LinearProgram) -> LpResult:
-    c, nstd, rows, obj_const, recover = _to_standard_form(lp)
-    m = len(rows)
-
-    # Assemble rows with slack/surplus columns; track a starting basis,
-    # adding artificial columns where no natural basic variable exists.
-    ncols = nstd
-    slack_col = {}
-    for ridx, (_, rel, _) in enumerate(rows):
-        if rel in (LE, GE):
-            slack_col[ridx] = ncols
-            ncols += 1
-    body = []
-    rhs = []
-    for ridx, (coeffs, rel, b) in enumerate(rows):
-        row = [Fraction(0)] * ncols
-        for idx, a in coeffs.items():
-            row[idx] = a
-        if rel == LE:
-            row[slack_col[ridx]] = Fraction(1)
-        elif rel == GE:
-            row[slack_col[ridx]] = Fraction(-1)
-        if b < 0:
-            row = [-a for a in row]
-            b = -b
-        body.append(row)
-        rhs.append(b)
-    basis = [None] * m
-    for ridx in range(m):
-        col = slack_col.get(ridx)
-        if col is not None and body[ridx][col] == 1:
-            basis[ridx] = col
-    n_art = sum(1 for b in basis if b is None)
+    c, nstd, rows, recover = _to_standard_form(lp)
+    ncols = nstd + sum(1 for _, rel, _ in rows if rel != EQ)
+    n_art = sum(1 for _, rel, b in rows if _needs_artificial(rel, b))
     total = ncols + n_art
+
+    # Dense rows over [standard | slack | artificial | rhs], each oriented
+    # so that b >= 0 and, where possible, its slack starts in the basis.
     tableau = []
-    art_idx = ncols
-    for ridx in range(m):
-        row = body[ridx] + [Fraction(0)] * n_art + [rhs[ridx]]
-        if basis[ridx] is None:
-            row[art_idx] = Fraction(1)
-            basis[ridx] = art_idx
-            art_idx += 1
+    basis = []
+    slack = nstd
+    art = ncols
+    for coeffs, rel, b in rows:
+        flip = b < 0 or (rel == GE and b == 0)
+        row = [_ZERO] * (total + 1)
+        for idx, a in coeffs.items():
+            row[idx] = -a if flip else a
+        row[-1] = -b if flip else b
+        if rel != EQ:
+            row[slack] = _ONE if (rel == LE) != flip else -_ONE
+            slack += 1
+        if _needs_artificial(rel, b):
+            row[art] = _ONE
+            basis.append(art)
+            art += 1
+        else:
+            basis.append(slack - 1)
         tableau.append(row)
 
-    def run(zrow, allowed):
-        """Minimize zrow (reduced in place); Bland's rule; returns status."""
-        while True:
-            col = None
-            for j in range(total):
-                if j in allowed and zrow[j] < 0:
-                    col = j
-                    break
-            if col is None:
-                return OPTIMAL
-            r_pick, best = None, None
-            for r in range(m):
-                a = tableau[r][col]
-                if a > 0:
-                    ratio = tableau[r][-1] / a
-                    if best is None or ratio < best or \
-                            (ratio == best and basis[r] < basis[r_pick]):
-                        r_pick, best = r, ratio
-            if r_pick is None:
-                return UNBOUNDED
-            _pivot_full(tableau, zrow, basis, r_pick, col)
-
-    def reduced_cost_row(cost):
-        z = cost + [Fraction(0)] * (total - len(cost)) + [Fraction(0)]
-        for r in range(m):
-            f = z[basis[r]]
-            if f != 0:
-                z = [a - f * b for a, b in zip(z, tableau[r])]
-        return z
-
-    art_cols = set(range(ncols, total))
     if n_art:
-        z1 = reduced_cost_row([Fraction(0)] * ncols + [Fraction(1)] * n_art)
-        status = run(z1, set(range(total)))
-        assert status == OPTIMAL
-        if -z1[-1] != 0:
+        z1 = _reduced_costs(tableau, basis,
+                            [_ZERO] * ncols + [_ONE] * n_art, total)
+        status = _run(tableau, basis, z1, total)
+        if status != OPTIMAL:
+            raise LpNotOptimal(f"phase 1 ended {status}")
+        if z1[-1] != 0:
             return LpResult(status=INFEASIBLE)
-        # Drive any artificial still basic out of the basis, or confirm its
-        # row is redundant (all non-artificial coefficients zero).
-        for r in range(m):
-            if basis[r] in art_cols:
-                for j in range(ncols):
-                    if tableau[r][j] != 0:
-                        _pivot_full(tableau, z1, basis, r, j)
-                        break
+        # Drive any artificial still basic out of the basis; if its row has
+        # no nonzero outside the artificial columns, the row is redundant
+        # and is dropped. Then the artificial columns go.
+        for r, row in enumerate(tableau):
+            if basis[r] >= ncols:
+                col = next((j for j in range(ncols) if row[j]), None)
+                if col is not None:
+                    _pivot_full(tableau, z1, basis, r, col)
+        kept = [r for r in range(len(tableau)) if basis[r] < ncols]
+        tableau = [tableau[r] for r in kept]
+        basis = [basis[r] for r in kept]
+        for row in tableau:
+            del row[ncols:total]
 
-    z2 = reduced_cost_row(list(c))
-    allowed = set(range(ncols))  # artificials stay out in phase 2
-    status = run(z2, allowed)
-    if status == UNBOUNDED:
+    z2 = _reduced_costs(tableau, basis, c, ncols)
+    if _run(tableau, basis, z2, ncols) == UNBOUNDED:
         return LpResult(status=UNBOUNDED)
-    y = [Fraction(0)] * total
-    for r in range(m):
-        y[basis[r]] = tableau[r][-1]
+    y = [_ZERO] * ncols
+    for r, row in enumerate(tableau):
+        y[basis[r]] = row[-1]
     xs = recover(y)
-    value = sum(ci * xi for ci, xi in zip(lp.objective, xs))
-    tight = []
-    for idx, (row, rel, b) in enumerate(lp.constraints):
-        lhs = sum(a * x for a, x in zip(row, xs))
-        if lhs == b:
-            tight.append(idx)
+    value = sum((ci * xi for ci, xi in zip(lp.objective, xs) if ci and xi),
+                _ZERO)
+    tight = [idx for idx, (row, _, b) in enumerate(lp.constraints)
+             if sum(a * x for a, x in zip(row, xs) if a and x) == b]
     return LpResult(status=OPTIMAL, optimal_value=value, solution=xs,
                     tight_constraints=tight)
 
 
+def _reduced_costs(tableau, basis, cost, width):
+    """The objective row for cost over width columns plus the rhs entry,
+    with the basic columns eliminated."""
+    z = list(cost) + [_ZERO] * (width + 1 - len(cost))
+    for r, row in enumerate(tableau):
+        f = z[basis[r]]
+        if f:
+            for j, v in enumerate(row):
+                if v:
+                    z[j] -= f * v
+    return z
+
+
+def _run(tableau, basis, zrow, limit):
+    """Minimize zrow over the columns below limit, reducing it in place;
+    Bland's rule for both the entering and the leaving column."""
+    while True:
+        col = next((j for j in range(limit) if zrow[j] < 0), None)
+        if col is None:
+            return OPTIMAL
+        r_pick, best = None, None
+        for r, row in enumerate(tableau):
+            a = row[col]
+            if a > 0:
+                ratio = row[-1] / a
+                if best is None or ratio < best or \
+                        (ratio == best and basis[r] < basis[r_pick]):
+                    r_pick, best = r, ratio
+        if r_pick is None:
+            return UNBOUNDED
+        _pivot_full(tableau, zrow, basis, r_pick, col)
+
+
 def _pivot_full(tableau, zrow, basis, r, col):
-    piv = tableau[r][col]
-    inv = Fraction(1) / piv
-    tableau[r] = [v * inv for v in tableau[r]]
+    """Pivot on (r, col): scale row r to 1 at col and eliminate col from
+    the other rows and zrow. Only the columns where row r is nonzero
+    change, so only those are touched, in place."""
     prow = tableau[r]
-    for rr in range(len(tableau)):
-        if rr == r:
-            continue
-        f = tableau[rr][col]
-        if f != 0:
-            tableau[rr] = [a - f * b for a, b in zip(tableau[rr], prow)]
-    f = zrow[col]
-    if f != 0:
-        zrow[:] = [a - f * b for a, b in zip(zrow, prow)]
+    piv = prow[col]
+    pairs = [(j, v if piv == 1 else v / piv) for j, v in enumerate(prow) if v]
+    for j, v in pairs:
+        prow[j] = v
+    for row in (*tableau, zrow):
+        f = row[col]
+        if f and row is not prow:
+            for j, v in pairs:
+                row[j] -= f * v
     basis[r] = col

@@ -6,13 +6,16 @@ from fractions import Fraction
 
 import pytest
 
+from pgcone import decode
 from pgcone.cone import is_member
 from pgcone.decode import (FAILURE, ZERO_STRICTLY_OPTIMAL, LLRVector,
                            bec_decode, bsc_sweep, canonical_completion,
                            feldman_lp_decode, llr_from_flips,
                            max_stopping_subset, zero_optimal)
-from pgcone.errors import EmptyFlips, RowWeightTooLarge, TooManyPatterns
+from pgcone.errors import (EmptyFlips, LpNotOptimal, RowWeightTooLarge,
+                           TooManyPatterns)
 from pgcone.plane import ParityCheck
+from pgcone.simplex import UNBOUNDED, LpResult
 
 
 def test_llr_from_flips():
@@ -54,6 +57,37 @@ def test_zero_optimal_three_flips(H2):
     obj = sum(w * l for w, l in
               zip(witness.entries, llr_from_flips(7, {0, 1, 2}, 1).entries))
     assert obj == out.objective
+
+
+def test_zero_optimal_q4(H4):
+    out = zero_optimal(H4, llr_from_flips(21, {0}, 1))
+    assert out.status == ZERO_STRICTLY_OPTIMAL
+    flips = (0, 1, 2, 3, 4)
+    llr = llr_from_flips(21, flips, 1)
+    out = zero_optimal(H4, llr)
+    assert out.status == FAILURE
+    witness = out.certificate
+    assert is_member(H4, witness)[0]
+    assert sum(witness.entries) == 1
+    assert sum(w * l for w, l in zip(witness.entries, llr.entries)) \
+        == out.objective
+    # The canonical completion (mass 9, objective -5 + 16/4) is a feasible
+    # point of the same slice once scaled to mass one.
+    omega = canonical_completion(H4, flips, 4)
+    completion = sum(w * l for w, l in zip(omega.entries, llr.entries)) \
+        / sum(omega.entries)
+    assert completion == Fraction(-1, 9)
+    assert out.objective <= completion
+
+
+def test_lp_status_is_checked(H2, monkeypatch):
+    monkeypatch.setattr(decode, "lp_solve",
+                        lambda lp: LpResult(status=UNBOUNDED))
+    llr = llr_from_flips(7, {0}, 1)
+    with pytest.raises(LpNotOptimal):
+        zero_optimal(H2, llr)
+    with pytest.raises(LpNotOptimal):
+        feldman_lp_decode(H2, llr)
 
 
 def test_canonical_completion_member_and_objective(H2):

@@ -4,12 +4,14 @@ import json
 
 import pytest
 
+from pgcone import effect
 from pgcone.cone import PseudoCodeword
 from pgcone.effect import (EXCLUDED_BY_RANGE, FIRST, NOT_EFFECTIVE,
                            POSSIBLY_EFFECTIVE, SECOND_ONLY, awgnc_first_kind,
                            bsc_effectiveness, cor8_screen)
-from pgcone.errors import IncompleteRaySet
+from pgcone.errors import IncompleteRaySet, LpNotOptimal
 from pgcone.rays import RaySet, enumerate_rays
+from pgcone.simplex import UNBOUNDED, LpResult
 from pgcone.weights import bsc_pw
 
 
@@ -98,3 +100,10 @@ def test_report_json(rays2):
     assert obj["channel"] == "AWGNC"
     assert obj["kind"] in (FIRST, SECOND_ONLY, NOT_EFFECTIVE)
     assert obj["witness"] is not None
+
+
+def test_awgnc_lp_status_is_checked(rays2, monkeypatch):
+    monkeypatch.setattr(effect, "lp_solve",
+                        lambda lp: LpResult(status=UNBOUNDED))
+    with pytest.raises(LpNotOptimal):
+        awgnc_first_kind(rays2, next(iter(rays2)))

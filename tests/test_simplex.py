@@ -4,6 +4,10 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
+from pgcone import simplex
+from pgcone.errors import LpNotOptimal
 from pgcone.simplex import (EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED,
                             LinearProgram, lp_solve)
 
@@ -141,6 +145,53 @@ def test_against_vertex_enumeration_oracle():
         else:
             assert res.status == OPTIMAL
             assert res.optimal_value == expected
+
+
+def _row_holds(row, rel, b, x):
+    lhs = sum(a * v for a, v in zip(row, x))
+    return {GE: lhs >= b, LE: lhs <= b, EQ: lhs == b}[rel]
+
+
+def test_slack_start_and_redundant_rows_against_oracle():
+    # Rows with b == 0 start from their slack; EQ rows, one of them
+    # duplicated, go through phase 1, after which an artificial still
+    # basic is driven out or, in the duplicate's all-zero row, dropped
+    # with that row.
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.choice((2, 3))
+        c = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
+        rows = []
+        for _ in range(rng.randint(1, 2)):
+            a = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+            rows.append((a, rng.choice((GE, LE)), Fraction(0)))
+        eq = ([Fraction(rng.randint(-3, 3)) for _ in range(n)], EQ,
+              Fraction(rng.randint(-2, 2)))
+        rows.extend([eq, eq])
+        if rng.random() < 0.5:
+            a = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+            rows.append((a, EQ, Fraction(0)))
+        rng.shuffle(rows)
+        bounds = [(Fraction(-3), Fraction(3))] * n
+        res = lp_solve(LinearProgram(list(c), list(rows), list(bounds)))
+        expected = _brute_force_box_min(c, rows, bounds)
+        if expected is None:
+            assert res.status == INFEASIBLE
+            continue
+        assert res.status == OPTIMAL
+        assert res.optimal_value == expected
+        x = res.solution
+        assert all(_row_holds(row, rel, b, x) for row, rel, b in rows)
+        assert all(-3 <= v <= 3 for v in x)
+        assert res.tight_constraints == [
+            k for k, (row, _, b) in enumerate(rows)
+            if sum(a * v for a, v in zip(row, x)) == b]
+
+
+def test_phase_one_status_is_checked(monkeypatch):
+    monkeypatch.setattr(simplex, "_run", lambda *args: UNBOUNDED)
+    with pytest.raises(LpNotOptimal):
+        lp_solve(LinearProgram([1], [([1], EQ, 1)], bounds=[(0, None)]))
 
 
 def test_duality_bound_on_cone_slice(H2):
