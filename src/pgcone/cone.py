@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import LengthMismatch, NonInteger, NotInCone
 from .plane import ParityCheck
@@ -16,6 +17,17 @@ def _vec(omega):
     if isinstance(omega, PseudoCodeword):
         return omega.entries
     return tuple(Fraction(x) for x in omega)
+
+
+def _scaled_to_ints(vec):
+    """The Fraction vector times the lcm of its denominators, as ints.
+
+    The scale is positive, so every sign and every zero of a dot product
+    with an integer row is unchanged."""
+    denom_lcm = 1
+    for x in vec:
+        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
+    return [x.numerator * (denom_lcm // x.denominator) for x in vec]
 
 
 class PseudoCodeword:
@@ -40,10 +52,7 @@ class PseudoCodeword:
         entries = self.entries
         if all(x == 0 for x in entries):
             return (0,) * len(entries)
-        denom_lcm = 1
-        for x in entries:
-            denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-        ints = [int(x * denom_lcm) for x in entries]
+        ints = _scaled_to_ints(entries)
         g = 0
         for v in ints:
             g = gcd(g, v)
@@ -159,7 +168,7 @@ def cone_constraints(H: ParityCheck) -> ConstraintSet:
 
 
 def _dot(coeffs, vec):
-    return sum(c * x for c, x in zip(coeffs, vec) if c)
+    return sum(map(mul, coeffs, vec))
 
 
 def is_member(H: ParityCheck, omega, constraints=None):
@@ -168,8 +177,9 @@ def is_member(H: ParityCheck, omega, constraints=None):
     if len(vec) != H.n_cols:
         raise LengthMismatch(f"expected length {H.n_cols}, got {len(vec)}")
     cs = constraints if constraints is not None else cone_constraints(H)
+    ints = _scaled_to_ints(vec)
     for con in cs:
-        if _dot(con.coeffs, vec) < 0:
+        if _dot(con.coeffs, ints) < 0:
             return False, con
     return True, None
 
@@ -213,7 +223,8 @@ def tight_constraints(H: ParityCheck, omega, constraints=None):
     """Constraints satisfied with equality at omega (membership assumed)."""
     vec = _vec(omega)
     cs = constraints if constraints is not None else cone_constraints(H)
-    return [con for con in cs if _dot(con.coeffs, vec) == 0]
+    ints = _scaled_to_ints(vec)
+    return [con for con in cs if _dot(con.coeffs, ints) == 0]
 
 
 def active_rank(H: ParityCheck, omega, constraints=None) -> int:

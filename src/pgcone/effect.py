@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .cone import PseudoCodeword
+from .cone import PseudoCodeword, _dot
 from .errors import IncompleteRaySet, LpNotOptimal
 from .rays import RaySet
 from .simplex import GE, OPTIMAL, LinearProgram, lp_solve
@@ -34,10 +34,6 @@ class EffectivenessReport:
             "witness": None if self.witness is None
             else [str(x) for x in self.witness],
         })
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def bsc_effectiveness(rayset: RaySet, omega, L=1) -> EffectivenessReport:

@@ -13,6 +13,7 @@ from math import gcd
 from . import weights
 from .cone import (PseudoCodeword, cone_constraints, integer_rank, is_member,
                    is_minimal, is_stopping_set)
+from .errors import LengthMismatch
 from .plane import ParityCheck
 
 
@@ -54,6 +55,10 @@ class RaySet:
         with open(path) as fh:
             header = json.loads(fh.readline())
             rays = [PseudoCodeword(json.loads(line)["ray"]) for line in fh if line.strip()]
+        for r in rays:
+            if r.n != header["n"]:
+                raise LengthMismatch(
+                    f"{path}: header n = {header['n']}, ray of length {r.n}")
         return cls(rays=tuple(rays), h_matrix_id=header["h_matrix_id"],
                    complete=header["complete"], n=header["n"])
 
@@ -84,50 +89,84 @@ def enumerate_rays(H: ParityCheck, budget: Budget = None, seed=None,
                    certify=True) -> RaySet:
     """Double description: start from the nonnegative orthant's unit rays and
     insert the cone inequalities one at a time, combining adjacent
-    positive/negative ray pairs. Adjacency is the algebraic test: the
-    constraints tight at both rays must have rank n - 2.
+    positive/negative ray pairs into rays on the new hyperplane.
 
-    On budget exhaustion the current rays are filtered through full
-    membership and minimality certification and returned with
-    complete=False.
+    Each ray carries its tight set as an int bitmask over the processed
+    rows: bit k is the k-th processed row, the n nonnegativity rows first,
+    then the cone rows in insertion order. A ray with value 0 on the
+    inserted row gains that row's bit; the ray built from a pair (r+, r-)
+    gets (T+ & T-) | bit, which is exact because it is a positive
+    combination of the two. A pair is adjacent when its common tight set C
+    passes three tests, cheapest first:
+
+    1. cardinality: |C| >= n - 2;
+    2. combinatorial: no other current ray is tight on all of C (exact
+       because the intermediate cone is pointed and only its extreme rays
+       are kept);
+    3. algebraic: the rows in C have integer rank n - 2, which decides.
+
+    ``max_rays`` is checked after each step and ``max_seconds`` also once
+    per positive ray inside a step. On budget exhaustion the rays kept so
+    far are filtered through full membership and minimality certification
+    and returned with complete=False.
     """
     n = H.n_cols
     cs = cone_constraints(H)
-    order = insertion_order(cs, seed=seed)
-    cone_rows = [cs.cone_rows[k].coeffs for k in order]
-    nonneg_rows = [con.coeffs for con in cs.nonneg_rows]
-    rays = [_unit(n, i) for i in range(n)]
+    processed = [con.coeffs for con in cs.nonneg_rows]
+    processed += [cs.cone_rows[k].coeffs for k in insertion_order(cs, seed)]
+    full = (1 << n) - 1
+    rays = {_unit(n, i): full ^ (1 << i) for i in range(n)}
+    max_seconds = budget.max_seconds if budget is not None else None
+    max_rays = budget.max_rays if budget is not None else None
     start = time.monotonic()
     complete = True
 
-    def out_of_budget(count):
-        if budget is None:
-            return False
-        if budget.max_seconds is not None and \
-                time.monotonic() - start > budget.max_seconds:
-            return True
-        if budget.max_rays is not None and count > budget.max_rays:
-            return True
-        return False
+    def out_of_time():
+        return max_seconds is not None and \
+            time.monotonic() - start > max_seconds
 
-    processed = list(nonneg_rows)
-    for step, a in enumerate(cone_rows):
-        vals = [_idot(a, r) for r in rays]
-        keep = [r for r, v in zip(rays, vals) if v >= 0]
-        pos = [(r, v) for r, v in zip(rays, vals) if v > 0]
-        neg = [(r, v) for r, v in zip(rays, vals) if v < 0]
+    for step in range(n, len(processed)):
+        terms = [(i, c) for i, c in enumerate(processed[step]) if c]
+        bit = 1 << step
+        keep, pos, neg = {}, [], []
+        for r, mask in rays.items():
+            v = sum(c * r[i] for i, c in terms)
+            if v > 0:
+                keep[r] = mask
+                pos.append((r, mask, v))
+            elif v == 0:
+                keep[r] = mask | bit
+            else:
+                neg.append((r, mask, v))
         if neg:
-            tight_cache = {id(r): _tight_set(processed, r)
-                           for r, _ in pos + neg}
-            for (rp, vp), (rm, vm) in ((p, m) for p in pos for m in neg):
-                common = tight_cache[id(rp)] & tight_cache[id(rm)]
-                if integer_rank([processed[k] for k in common]) != n - 2:
-                    continue
-                new = _reduce([vp * b - vm * c for b, c in zip(rm, rp)])
-                keep.append(new)
-        rays = _dedupe(keep)
-        processed.append(a)
-        if out_of_budget(len(rays)):
+            # holders[k]: bit p set when the p-th current ray is tight at row k.
+            holders = [0] * step
+            for p, mask in enumerate(rays.values()):
+                for k in _bits(mask):
+                    holders[k] |= 1 << p
+            everyone = (1 << len(rays)) - 1
+            for rp, mp, vp in pos:
+                if out_of_time():
+                    complete = False
+                    break
+                for rm, mm, vm in neg:
+                    common = mp & mm
+                    if common.bit_count() < n - 2:
+                        continue
+                    rows = _bits(common)
+                    tight_on_all = everyone
+                    for k in rows:
+                        tight_on_all &= holders[k]
+                    # r+ and r- are two of the rays tight on all of common.
+                    if tight_on_all.bit_count() > 2:
+                        continue
+                    if integer_rank([processed[k] for k in rows]) != n - 2:
+                        continue
+                    new = _reduce([vp * b - vm * c for b, c in zip(rm, rp)])
+                    keep.setdefault(new, common | bit)
+        rays = keep
+        if not complete or out_of_time() or \
+                (max_rays is not None and len(rays) > max_rays):
             complete = False
             break
 
@@ -142,31 +181,28 @@ def enumerate_rays(H: ParityCheck, budget: Budget = None, seed=None,
                   complete=complete, n=n)
 
 
+def _bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _unit(n, i):
     v = [0] * n
     v[i] = 1
     return tuple(v)
 
 
-def _idot(a, r):
-    return sum(x * y for x, y in zip(a, r) if x)
-
-
-def _tight_set(processed, r):
-    return frozenset(k for k, a in enumerate(processed) if _idot(a, r) == 0)
-
-
-def _dedupe(rays):
-    seen = {}
-    for r in rays:
-        seen.setdefault(_reduce(r), None)
-    return list(seen)
-
-
 def support_guided_rays(H: ParityCheck) -> RaySet:
     """Independent exhaustive oracle: for every stopping-set support, find all
     strictly positive nullspace generators of (|S| - 1)-rank systems of
-    restricted tight cone constraints, then certify each candidate.
+    restricted tight cone constraints, then certify each candidate. A
+    singleton {i} is a stopping set exactly when no check touches column i;
+    its only generator is the unit ray e_i.
 
     Exponential in n; intended as the q = 2 cross-check.
     """
@@ -176,7 +212,7 @@ def support_guided_rays(H: ParityCheck) -> RaySet:
     cs = cone_constraints(H)
     cone_rows = [con.coeffs for con in cs.cone_rows]
     found = {}
-    for size in range(2, n + 1):
+    for size in range(1, n + 1):
         for S in combinations(range(n), size):
             if not is_stopping_set(H, S):
                 continue
@@ -196,14 +232,12 @@ def support_guided_rays(H: ParityCheck) -> RaySet:
 
 
 def _rank_deficient_solutions(rows, k):
-    """Yield nullspace generators of every independent (k-1)-subset of rows.
+    """Yield nullspace generators of every independent (k-1)-subset of rows
+    (for k = 1, the empty subset and its generator (1,)).
 
     Subsets are built recursively with an incrementally maintained integer
     row echelon, so dependent branches are pruned with one row reduction.
     """
-    if k == 1:
-        return
-
     def reduce_row(echelon, row):
         r = list(row)
         for pc, pr in echelon:

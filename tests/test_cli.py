@@ -86,6 +86,14 @@ def test_rays_and_histogram(tmp_path, capsys):
     assert csv.splitlines()[1].startswith("4,")
 
 
+def test_rays_zero_budget_is_honoured(tmp_path, capsys):
+    assert run(tmp_path, "rays", "enumerate", "--q", "2",
+               "--max-rays", "0") == 0
+    assert "(partial)" in capsys.readouterr().out
+    header = (tmp_path / "rays_q2.jsonl").read_text().splitlines()[0]
+    assert json.loads(header)["complete"] is False
+
+
 def test_decode_zero_opt(tmp_path, capsys):
     assert run(tmp_path, "decode", "zero-opt", "--q", "2", "--flips", "0") == 0
     assert "ZeroStrictlyOptimal" in capsys.readouterr().out

@@ -1,11 +1,15 @@
 """Extreme-ray enumeration: double description, oracle cross-check,
 persistence and histograms."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from pgcone.cone import is_member, is_minimal
+from pgcone.errors import LengthMismatch
+from pgcone.plane import ParityCheck
 from pgcone.rays import (Budget, RaySet, enumerate_rays, histogram,
                          histogram_csv, insertion_order, support_guided_rays)
 from pgcone.weights import awgnc_pw, bec_pw, bsc_pw
@@ -79,6 +83,60 @@ def test_budget_returns_partial_certified(H4):
         assert is_minimal(H4, r)
 
 
+def _fake_clock(monkeypatch):
+    """Patch the clock with one that reads 0, 1, 2, ... seconds per call."""
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return float(len(reads) - 1)
+    monkeypatch.setattr("pgcone.rays.time.monotonic", clock)
+    return reads
+
+
+def test_max_seconds_checked_inside_a_step(H2, H4, monkeypatch):
+    reads = _fake_clock(monkeypatch)
+    rs = enumerate_rays(H2, budget=Budget(max_seconds=10 ** 6))
+    assert rs.complete
+    # The clock is read at the start, after each of the 21 steps, and once
+    # per positive ray of every step that has a negative ray.
+    assert len(reads) > 1 + 21
+    reads = _fake_clock(monkeypatch)
+    rs = enumerate_rays(H4, budget=Budget(max_seconds=30))
+    assert not rs.complete
+    # The run stops at the first read past the deadline.
+    assert len(reads) == 32
+    for r in rs:
+        assert is_member(H4, r)[0]
+        assert is_minimal(H4, r)
+
+
+def test_oracle_finds_unit_rays_of_untouched_columns():
+    H = ParityCheck([[2, 4], [3, 2, 6], [4, 1, 6], [2, 1], [4, 2]], 7)
+    oracle = support_guided_rays(H)
+    assert (1, 0, 0, 0, 0, 0, 0) in oracle.canonicals()
+    assert (0, 0, 0, 0, 0, 1, 0) in oracle.canonicals()
+    assert oracle.canonicals() == enumerate_rays(H).canonicals()
+    assert len(oracle) == 6
+
+
+def test_random_sparse_against_oracle():
+    rng = random.Random(20261018)
+    with_empty_column = 0
+    for _ in range(15):
+        n = rng.randint(4, 6)
+        rows = [rng.sample(range(n), rng.randint(2, min(4, n)))
+                for _ in range(rng.randint(2, 5))]
+        H = ParityCheck(rows, n)
+        with_empty_column += any(not col for col in H.cols)
+        oracle = support_guided_rays(H).canonicals()
+        for seed in (None, 1, 2):
+            rs = enumerate_rays(H, seed=seed)
+            assert rs.complete
+            assert rs.canonicals() == oracle, (rows, n, seed)
+    assert with_empty_column > 0
+
+
 def test_oracle_size_gate(H4):
     with pytest.raises(ValueError):
         support_guided_rays(H4)
@@ -91,6 +149,16 @@ def test_jsonl_round_trip(tmp_path, rays2):
     assert back.canonicals() == rays2.canonicals()
     assert back.h_matrix_id == rays2.h_matrix_id
     assert back.complete
+
+
+def test_jsonl_rejects_ray_length_mismatch(tmp_path, rays2):
+    path = tmp_path / "rays.jsonl"
+    rays2.save_jsonl(path)
+    lines = path.read_text().splitlines()
+    lines[1] = json.dumps({"ray": [1, 1, 1, 1]})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LengthMismatch):
+        RaySet.load_jsonl(path)
 
 
 def test_rayset_dedupes_scalar_multiples(rays2):
