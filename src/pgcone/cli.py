@@ -344,7 +344,7 @@ def dispatch(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PgconeError as exc:
+    except (PgconeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

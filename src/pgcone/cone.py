@@ -1,6 +1,7 @@
 """The fundamental cone of a parity-check matrix: constraint generation,
-exact membership, minimality certification via the rank of tight
-constraints, type vectors, stopping sets and mod-2 reduction."""
+exact membership and minimality certification via the rank of tight
+constraints (one integer scan gives both membership and the tight set),
+type vectors, stopping sets and mod-2 reduction."""
 
 import json
 from dataclasses import dataclass
@@ -171,17 +172,28 @@ def _dot(coeffs, vec):
     return sum(map(mul, coeffs, vec))
 
 
-def is_member(H: ParityCheck, omega, constraints=None):
-    """Exact membership; returns (bool, first violated constraint or None)."""
+def _scan(H: ParityCheck, omega, constraints):
+    """One pass at omega, scaled to ints once: (first violated constraint,
+    None) for a non-member, else (None, tight coefficient rows)."""
     vec = _vec(omega)
     if len(vec) != H.n_cols:
         raise LengthMismatch(f"expected length {H.n_cols}, got {len(vec)}")
     cs = constraints if constraints is not None else cone_constraints(H)
     ints = _scaled_to_ints(vec)
+    tight = []
     for con in cs:
-        if _dot(con.coeffs, ints) < 0:
-            return False, con
-    return True, None
+        value = _dot(con.coeffs, ints)
+        if value < 0:
+            return con, None
+        if value == 0:
+            tight.append(con.coeffs)
+    return None, tight
+
+
+def is_member(H: ParityCheck, omega, constraints=None):
+    """Exact membership; returns (bool, first violated constraint or None)."""
+    violated, _ = _scan(H, omega, constraints)
+    return violated is None, violated
 
 
 def integer_rank(rows):
@@ -219,21 +231,13 @@ def integer_rank(rows):
     return rank
 
 
-def tight_constraints(H: ParityCheck, omega, constraints=None):
-    """Constraints satisfied with equality at omega (membership assumed)."""
-    vec = _vec(omega)
-    cs = constraints if constraints is not None else cone_constraints(H)
-    ints = _scaled_to_ints(vec)
-    return [con for con in cs if _dot(con.coeffs, ints) == 0]
-
-
 def active_rank(H: ParityCheck, omega, constraints=None) -> int:
-    """Rank of the tight-constraint coefficient matrix at omega."""
-    ok, violated = is_member(H, omega, constraints)
-    if not ok:
+    """Rank of the tight-constraint coefficient matrix at omega; one scan
+    gives both membership (NotInCone otherwise) and the tight set."""
+    violated, tight = _scan(H, omega, constraints)
+    if violated is not None:
         raise NotInCone(f"vector violates {violated.label}")
-    tight = tight_constraints(H, omega, constraints)
-    return integer_rank([con.coeffs for con in tight])
+    return integer_rank(tight)
 
 
 def is_minimal(H: ParityCheck, omega, constraints=None) -> bool:

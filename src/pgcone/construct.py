@@ -5,14 +5,14 @@ two-zero-line alpha-threshold procedure on PG(2, 4)."""
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import inf
 
 from .cone import (PseudoCodeword, _vec, active_rank, cone_constraints,
                    is_member, type_of)
 from .errors import NoSuchPair, NotInCone, NoZeroLinePair, SearchExhausted
 from .plane import Plane, find_hyperovals, incidence_matrix, min_weight_codewords
-from .weights import awgnc_pw, bec_pw, bsc_pw
+from .weights import awgnc_pw, bec_pw, bsc_pw, conjectured_wp
 
 
 @dataclass
@@ -70,12 +70,8 @@ def overlapping_pair(p: Plane, overlap=None, pool=None):
     overlap in `overlap` positions (default (q+2)/2)."""
     if overlap is None:
         overlap = (p.q + 2) // 2
-    words = pool if pool is not None else _codeword_pool(p)
-    sups = [frozenset(i for i, x in enumerate(w) if x) for w in words]
-    for a in range(len(words)):
-        for b in range(a + 1, len(words)):
-            if len(sups[a] & sups[b]) == overlap:
-                return words[a], words[b]
+    for pair in _overlapping_pairs(p, overlap, pool=pool):
+        return pair
     raise NoSuchPair(
         f"no weight-{p.q + 2} codeword pair with overlap {overlap}")
 
@@ -116,40 +112,54 @@ def _switched(base_vec, positions, value):
     return tuple(out)
 
 
+def _trace(x1, x2, overlap, switched, omega_t, cand, rank_t=None, notes=""):
+    """Trace of cand, certified minimal, so its tight rank is n - 1."""
+    ranks = {} if rank_t is None else {"intermediate": rank_t}
+    ranks["final"] = len(cand) - 1
+    final = PseudoCodeword(cand)
+    return ConstructionTrace(
+        generators=(tuple(x1), tuple(x2)),
+        overlap=overlap,
+        switched=switched,
+        intermediate=PseudoCodeword(omega_t),
+        final=final,
+        ranks=ranks,
+        final_type=type_of(final),
+        pseudo_weights=_weights_of(final),
+        minimal=True,
+        notes=notes,
+    )
+
+
+def _switch_search(p: Plane, pool, admissible):
+    """For each default-overlap codeword pair, switch s = log2(q) zeros of
+    their sum to twos; yield (x1, x2, omega_t, switch, cand) for each
+    switch set that passes `admissible` and whose result certifies
+    minimal."""
+    s = p.q.bit_length() - 1
+    H = incidence_matrix(p)
+    cs = cone_constraints(H)
+    for x1, x2 in _overlapping_pairs(p, (p.q + 2) // 2, pool=pool):
+        omega_t = tuple(Fraction(a + b) for a, b in zip(x1, x2))
+        zeros = [i for i, x in enumerate(omega_t) if x == 0]
+        for switch in combinations(zeros, s):
+            if not admissible(switch):
+                continue
+            cand = _switched(omega_t, switch, 2)
+            if is_member(H, cand, cs)[0] and \
+                    active_rank(H, cand, cs) == H.n_cols - 1:
+                yield x1, x2, omega_t, switch, cand
+
+
 def ex3_minimal_pcw(p: Plane, pool=None) -> ConstructionTrace:
     """Sum a default-overlap minimum-weight codeword pair, then switch
     s = log2(q) zeros to twos so the result certifies minimal."""
-    q = p.q
-    s = q.bit_length() - 1
-    H = incidence_matrix(p)
-    cs = cone_constraints(H)
-    n = H.n_cols
-    for x1, x2 in _overlapping_pairs(p, (q + 2) // 2, pool=pool):
-        omega_t = tuple(Fraction(a + b) for a, b in zip(x1, x2))
-        zeros = [i for i, x in enumerate(omega_t) if x == 0]
-        rank_t = active_rank(H, omega_t, cs)
-        # Any two distinct points share a line, so the q=4 "on the same
-        # line" requirement holds for every candidate pair.
-        for switch in combinations(zeros, s):
-            cand = _switched(omega_t, switch, 2)
-            ok, _ = is_member(H, cand, cs)
-            if not ok:
-                continue
-            rank_f = active_rank(H, cand, cs)
-            if rank_f != n - 1:
-                continue
-            final = PseudoCodeword(cand)
-            return ConstructionTrace(
-                generators=(tuple(x1), tuple(x2)),
-                overlap=(q + 2) // 2,
-                switched={i: 2 for i in switch},
-                intermediate=PseudoCodeword(omega_t),
-                final=final,
-                ranks={"intermediate": rank_t, "final": rank_f},
-                final_type=type_of(final),
-                pseudo_weights=_weights_of(final),
-                minimal=True,
-            )
+    # Any two distinct points share a line, so the q=4 "on the same line"
+    # requirement holds for every switch set.
+    for x1, x2, omega_t, switch, cand in _switch_search(
+            p, pool, lambda switch: True):
+        return _trace(x1, x2, (p.q + 2) // 2, {i: 2 for i in switch},
+                      omega_t, cand, active_rank(incidence_matrix(p), omega_t))
     raise SearchExhausted("no switch set certified a minimal pseudo-codeword")
 
 
@@ -172,45 +182,22 @@ def conjectured_family_search(p: Plane, pool=None,
     """Search switch sets of size s = log2(q) in simplex configuration whose
     result certifies minimal; the conjecture's target type is
     t_1 = q+2, t_2 = q/2 + s + 1."""
-    q = p.q
-    s = q.bit_length() - 1
-    H = incidence_matrix(p)
-    cs = cone_constraints(H)
-    n = H.n_cols
-    from .weights import conjectured_wp
-    target = conjectured_wp(q)
-    tried = 0
-    for x1, x2 in _overlapping_pairs(p, (q + 2) // 2, pool=pool):
-        omega_t = tuple(Fraction(a + b) for a, b in zip(x1, x2))
-        zeros = [i for i, x in enumerate(omega_t) if x == 0]
-        for switch in combinations(zeros, s):
-            if not _is_simplex_configuration(p, switch):
-                continue
-            tried += 1
-            if max_candidates is not None and tried > max_candidates:
-                raise SearchExhausted(
-                    f"candidate budget {max_candidates} exhausted")
-            cand = _switched(omega_t, switch, 2)
-            ok, _ = is_member(H, cand, cs)
-            if not ok:
-                continue
-            if active_rank(H, cand, cs) != n - 1:
-                continue
-            final = PseudoCodeword(cand)
-            if awgnc_pw(final) != target:
-                continue
-            return ConstructionTrace(
-                generators=(tuple(x1), tuple(x2)),
-                overlap=(q + 2) // 2,
-                switched={i: 2 for i in switch},
-                intermediate=PseudoCodeword(omega_t),
-                final=final,
-                ranks={"final": n - 1},
-                final_type=type_of(final),
-                pseudo_weights=_weights_of(final),
-                minimal=True,
-                notes=f"conjectured family target pseudo-weight {target}",
-            )
+    target = conjectured_wp(p.q)
+    tried = count(1)
+
+    def admissible(switch):
+        if not _is_simplex_configuration(p, switch):
+            return False
+        if max_candidates is not None and next(tried) > max_candidates:
+            raise SearchExhausted(
+                f"candidate budget {max_candidates} exhausted")
+        return True
+
+    for x1, x2, omega_t, switch, cand in _switch_search(p, pool, admissible):
+        if awgnc_pw(cand) == target:
+            return _trace(
+                x1, x2, (p.q + 2) // 2, {i: 2 for i in switch}, omega_t, cand,
+                notes=f"conjectured family target pseudo-weight {target}")
     raise SearchExhausted("no simplex switch set realized the conjecture")
 
 
@@ -222,11 +209,10 @@ def ex5_procedure(p: Plane, pool=None) -> ConstructionTrace:
         raise ValueError("the procedure is specific to q = 4")
     H = incidence_matrix(p)
     cs = cone_constraints(H)
-    n = H.n_cols
     found_zero_lines = False
     for x1, x2 in _overlapping_pairs(p, 2, pool=pool):
         omega_t = tuple(Fraction(a + b) for a, b in zip(x1, x2))
-        zero_lines = [j for j in range(n)
+        zero_lines = [j for j in range(p.n)
                       if all(omega_t[i] == 0 for i in p.lines[j])]
         for l1, l2 in combinations(zero_lines, 2):
             found_zero_lines = True
@@ -240,24 +226,13 @@ def ex5_procedure(p: Plane, pool=None) -> ConstructionTrace:
                     if alpha is inf or alpha <= 0:
                         continue
                     cand = _switched(omega_t, (p0, pt1, pt2), alpha)
-                    rank_f = active_rank(H, cand, cs)
-                    if rank_f != n - 1:
+                    if active_rank(H, cand, cs) != p.n - 1:
                         continue
-                    final = PseudoCodeword(cand)
-                    return ConstructionTrace(
-                        generators=(tuple(x1), tuple(x2)),
-                        overlap=2,
-                        switched={p0: alpha, pt1: alpha, pt2: alpha},
-                        intermediate=PseudoCodeword(omega_t),
-                        final=final,
-                        ranks={"intermediate": active_rank(H, omega_t, cs),
-                               "final": rank_f},
-                        final_type=type_of(final),
-                        pseudo_weights=_weights_of(final),
-                        minimal=True,
+                    return _trace(
+                        x1, x2, 2, {p0: alpha, pt1: alpha, pt2: alpha},
+                        omega_t, cand, active_rank(H, omega_t, cs),
                         notes=f"zero lines {l1},{l2}; intersection {p0}; "
-                              f"max alpha {alpha}",
-                    )
+                              f"max alpha {alpha}")
     if not found_zero_lines:
         raise NoZeroLinePair("no codeword pair exposed two all-zero lines")
     raise SearchExhausted("no point pair certified a minimal pseudo-codeword")

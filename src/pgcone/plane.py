@@ -168,37 +168,26 @@ def verify_axioms(p: Plane) -> AxiomReport:
     return AxiomReport(True)
 
 
-def _gf2_eliminate(masks, n_cols):
-    """Row-reduce bitmask rows; returns (pivot_rows, pivot_cols)."""
-    pivots = []
-    pivot_cols = []
+def _gf2_eliminate(masks):
+    """Forward-reduce bitmask rows; returns {pivot col: reduced row}."""
+    pivots = {}
     for m in masks:
-        for pm, pc in zip(pivots, pivot_cols):
-            if (m >> pc) & 1:
+        for c, pm in pivots.items():
+            if (m >> c) & 1:
                 m ^= pm
         if m:
-            c = m.bit_length() - 1
-            pivots.append(m)
-            pivot_cols.append(c)
-    return pivots, pivot_cols
+            pivots[m.bit_length() - 1] = m
+    return pivots
 
 
 def gf2_rank(H: ParityCheck) -> int:
-    return len(_gf2_eliminate(list(H.row_masks), H.n_cols)[0])
+    return len(_gf2_eliminate(H.row_masks))
 
 
 def gf2_nullspace(H: ParityCheck):
     """Basis of the GF(2) nullspace (codewords) as bitmasks over columns."""
     n = H.n_cols
-    mat = list(H.row_masks)
-    pivots = {}  # col -> reduced row mask
-    for m in mat:
-        for c, pm in pivots.items():
-            if (m >> c) & 1:
-                m ^= pm
-        if m:
-            c = m.bit_length() - 1
-            pivots[c] = m
+    pivots = _gf2_eliminate(H.row_masks)
     # Back-substitute to full RREF.
     cols = sorted(pivots, reverse=True)
     for idx, c in enumerate(cols):

@@ -85,8 +85,7 @@ def _reduce(vec):
     return tuple(v // g for v in vec) if g > 1 else tuple(vec)
 
 
-def enumerate_rays(H: ParityCheck, budget: Budget = None, seed=None,
-                   certify=True) -> RaySet:
+def enumerate_rays(H: ParityCheck, budget: Budget = None, seed=None) -> RaySet:
     """Double description: start from the nonnegative orthant's unit rays and
     insert the cone inequalities one at a time, combining adjacent
     positive/negative ray pairs into rays on the new hyperplane.
@@ -106,9 +105,9 @@ def enumerate_rays(H: ParityCheck, budget: Budget = None, seed=None,
     3. algebraic: the rows in C have integer rank n - 2, which decides.
 
     ``max_rays`` is checked after each step and ``max_seconds`` also once
-    per positive ray inside a step. On budget exhaustion the rays kept so
-    far are filtered through full membership and minimality certification
-    and returned with complete=False.
+    per positive ray inside a step; a run stopped by either returns
+    complete=False. Every returned ray is certified by full membership
+    and minimality, whether the run completed or not.
     """
     n = H.n_cols
     cs = cone_constraints(H)
@@ -172,11 +171,8 @@ def enumerate_rays(H: ParityCheck, budget: Budget = None, seed=None,
 
     result = []
     for r in rays:
-        if not complete or certify:
-            ok, _ = is_member(H, r, cs)
-            if not ok or not is_minimal(H, r, cs):
-                continue
-        result.append(PseudoCodeword(r))
+        if is_member(H, r, cs)[0] and is_minimal(H, r, cs):
+            result.append(PseudoCodeword(r))
     return RaySet(rays=tuple(result), h_matrix_id=H.matrix_id(),
                   complete=complete, n=n)
 

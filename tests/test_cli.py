@@ -144,6 +144,19 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("cone", "member", "--q", "2", "--vector", "1,-1,0,0,0,0,0"),
+    ("cone", "member", "--q", "2", "--vector", "1,abc"),
+    ("decode", "zero-opt", "--q", "2", "--flips", "9"),
+    ("construct", "ex5", "--q", "2"),
+    ("rays", "histogram", "--rayset", "/nonexistent/rays.jsonl",
+     "--kind", "BEC"),
+])
+def test_input_error_exit_code(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_error_exit_code(tmp_path):
     with pytest.raises(SystemExit) as exc:
         dispatch(["plane", "build"])  # missing required --q

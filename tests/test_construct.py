@@ -8,7 +8,7 @@ import pytest
 from pgcone.cone import is_member, mod2_reduce, type_of
 from pgcone.construct import (conjectured_family_search, ex3_minimal_pcw,
                               ex5_procedure, max_alpha, overlapping_pair)
-from pgcone.errors import NoSuchPair
+from pgcone.errors import NoSuchPair, SearchExhausted
 from pgcone.plane import incidence_matrix
 from pgcone.weights import bound_thm5, conjectured_wp, thm5_applicable
 
@@ -98,6 +98,20 @@ def test_conjectured_family_q4(plane4, codewords4):
     t = trace.final_type
     assert (t.get(1), t.get(2)) == (6, 5)
     assert trace.pseudo_weights["AWGNC"] == conjectured_wp(4)
+
+
+@pytest.mark.parametrize("q, budget, switched", [
+    (2, 0, None), (2, 1, {6: 2}), (4, 27, None), (4, 28, {5: 2, 18: 2})])
+def test_conjectured_family_candidate_budget(request, q, budget, switched):
+    p = request.getfixturevalue(f"plane{q}")
+    pool = request.getfixturevalue(f"codewords{q}")
+    if switched is None:
+        with pytest.raises(SearchExhausted,
+                           match=f"candidate budget {budget} exhausted"):
+            conjectured_family_search(p, pool=pool, max_candidates=budget)
+    else:
+        trace = conjectured_family_search(p, pool=pool, max_candidates=budget)
+        assert trace.switched == switched
 
 
 def test_max_alpha_empty_positions(plane2, codewords2):
