@@ -1,14 +1,14 @@
 """LP decoding experiments under the zero-codeword assumption: channel LLR
 construction, optimality certification over the fundamental cone, the
-canonical-completion failure witness, the full fundamental-polytope LP
-decoder, and BSC flip-pattern sweeps."""
+canonical-completion failure witness, the fundamental-polytope LP decoder
+(both LPs solved by exact cutting planes), and BSC flip-pattern sweeps."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .cone import PseudoCodeword, cone_constraints
+from .cone import PseudoCodeword, _scaled_to_ints, cone_constraints
 from .errors import (EmptyFlips, LpNotOptimal, RowWeightTooLarge,
                      TooManyPatterns)
 from .plane import ParityCheck
@@ -65,16 +65,37 @@ def llr_from_flips(n, flips, L) -> LLRVector:
 
 def zero_optimal(H: ParityCheck, llr: LLRVector, constraints=None) -> DecodeOutcome:
     """Minimize <omega, lambda> over the mass-one slice of the fundamental
-    cone; the sign of the optimum classifies the zero codeword's LP fate."""
+    cone; the sign of the optimum classifies the zero codeword's LP fate.
+
+    Solved by exact cutting planes. The first LP has only the mass row
+    sum(omega) = 1 and omega >= 0. Each optimum is scaled to ints once and
+    separated check by check: check j violates at most one cone row, the
+    one whose pivot i is the argmax of omega on I_j, and only when
+    2 omega_i > sum(omega_{I_j}). Those rows are added and the LP solved
+    again, until no cone row is violated; the optimum is then feasible for
+    the full cone LP, so it is that LP's optimum. ``constraints`` is a
+    precomputed ``cone_constraints(H)``; its cone rows, looked up by label,
+    are the rows the loop adds.
+    """
     n = H.n_cols
     cs = constraints if constraints is not None else cone_constraints(H)
-    rows = [(list(con.coeffs), GE, 0) for con in cs.cone_rows]
-    rows.append(([1] * n, EQ, 1))
-    lp = LinearProgram(objective=list(llr.entries), constraints=rows,
-                       bounds=[(0, None)] * n)
-    res = lp_solve(lp)
-    if res.status != OPTIMAL:
-        raise LpNotOptimal(f"cone-slice LP ended {res.status}")
+    pool = {con.label[1:]: con.coeffs for con in cs.cone_rows}
+    rows = [([1] * n, EQ, 1)]
+    while True:
+        lp = LinearProgram(objective=list(llr.entries), constraints=rows,
+                           bounds=[(0, None)] * n)
+        res = lp_solve(lp)
+        if res.status != OPTIMAL:
+            raise LpNotOptimal(f"cone-slice LP ended {res.status}")
+        x = _scaled_to_ints(res.solution)
+        cuts = []
+        for j, support in enumerate(H.rows):
+            i = max(support, key=x.__getitem__)
+            if 2 * x[i] > sum(x[k] for k in support):
+                cuts.append((pool[j, i], GE, 0))
+        if not cuts:
+            break
+        rows.extend(cuts)
     value = res.optimal_value
     if value > 0:
         return DecodeOutcome(ZERO_STRICTLY_OPTIMAL, value)
@@ -94,35 +115,58 @@ def canonical_completion(H: ParityCheck, flips, q) -> PseudoCodeword:
         Fraction(1) if i in flips else inv_q for i in range(n)))
 
 
+def _odd_set_cut(support, x, scale):
+    """The most violated odd-set row of one check at f = x / scale (x the
+    ints of f scaled by scale): S = {i : f_i > 1/2}, and when |S| is even
+    the lowest-index i with the least |f_i - 1/2| toggled. Returns S and
+    the row's excess sum(x_S) - sum(x_{I_j \\ S}) - (|S| - 1) scale; the row
+    sum(f_S) - sum(f_{I_j \\ S}) <= |S| - 1 is violated iff the excess is
+    positive, and no odd S has a larger excess."""
+    S = {i for i in support if 2 * x[i] > scale}
+    if len(S) % 2 == 0:
+        S ^= {min(support, key=lambda i: (abs(2 * x[i] - scale), i))}
+    excess = sum(x[i] if i in S else -x[i] for i in support) \
+        - (len(S) - 1) * scale
+    return S, excess
+
+
 def feldman_lp_decode(H: ParityCheck, llr: LLRVector):
     """Fundamental-polytope LP decoding: per check j and odd S within I_j,
     sum(f_S) - sum(f_{I_j \\ S}) <= |S| - 1, with 0 <= f <= 1.
 
+    Solved by exact cutting planes. The first LP has only the box
+    0 <= f <= 1. Each optimum is separated check by check with
+    ``_odd_set_cut``, which finds the most violated odd-set row of the
+    check; every violated one is added and the LP solved again, until no
+    odd-set row is violated and the optimum is the full LP's.
+
     Returns (fractional solution tuple, integral flag).
     """
     n = H.n_cols
-    rows = []
     for support in H.rows:
-        d = len(support)
-        if d > 7:
-            raise RowWeightTooLarge(f"row weight {d} > 7")
-        for bits in range(1 << d):
-            if bin(bits).count("1") % 2 == 0:
-                continue
-            coeffs = [0] * n
-            size = 0
-            for pos, i in enumerate(support):
-                if (bits >> pos) & 1:
-                    coeffs[i] = 1
-                    size += 1
-                else:
-                    coeffs[i] = -1
-            rows.append((coeffs, LE, size - 1))
-    lp = LinearProgram(objective=list(llr.entries), constraints=rows,
-                       bounds=[(0, 1)] * n)
-    res = lp_solve(lp)
-    if res.status != OPTIMAL:
-        raise LpNotOptimal(f"polytope LP ended {res.status}")
+        if len(support) > 7:
+            raise RowWeightTooLarge(f"row weight {len(support)} > 7")
+    rows = []
+    while True:
+        lp = LinearProgram(objective=list(llr.entries), constraints=rows,
+                           bounds=[(0, 1)] * n)
+        res = lp_solve(lp)
+        if res.status != OPTIMAL:
+            raise LpNotOptimal(f"polytope LP ended {res.status}")
+        # Scaling with a trailing 1 puts the common denominator last.
+        x = _scaled_to_ints((*res.solution, 1))
+        scale = x.pop()
+        cuts = []
+        for support in H.rows:
+            S, excess = _odd_set_cut(support, x, scale)
+            if excess > 0:
+                coeffs = [0] * n
+                for i in support:
+                    coeffs[i] = 1 if i in S else -1
+                cuts.append((coeffs, LE, len(S) - 1))
+        if not cuts:
+            break
+        rows.extend(cuts)
     sol = tuple(res.solution)
     integral = all(x in (0, 1) for x in sol)
     return sol, integral

@@ -3,11 +3,13 @@ canonical completion, the polytope decoder, sweeps and BEC peeling."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 import pytest
 
 from pgcone import decode
-from pgcone.cone import is_member
+from pgcone.cone import cone_constraints, is_member
 from pgcone.decode import (FAILURE, ZERO_STRICTLY_OPTIMAL, LLRVector,
                            bec_decode, bsc_sweep, canonical_completion,
                            feldman_lp_decode, llr_from_flips,
@@ -15,7 +17,8 @@ from pgcone.decode import (FAILURE, ZERO_STRICTLY_OPTIMAL, LLRVector,
 from pgcone.errors import (EmptyFlips, LpNotOptimal, RowWeightTooLarge,
                            TooManyPatterns)
 from pgcone.plane import ParityCheck
-from pgcone.simplex import UNBOUNDED, LpResult
+from pgcone.simplex import (EQ, GE, LE, OPTIMAL, UNBOUNDED, LinearProgram,
+                            LpResult, lp_solve)
 
 
 def test_llr_from_flips():
@@ -88,6 +91,92 @@ def test_lp_status_is_checked(H2, monkeypatch):
         zero_optimal(H2, llr)
     with pytest.raises(LpNotOptimal):
         feldman_lp_decode(H2, llr)
+
+
+def _full_cone_value(H, llr):
+    """Reference: the cone-slice LP with every cone row up front."""
+    n = H.n_cols
+    rows = [(list(con.coeffs), GE, 0) for con in cone_constraints(H).cone_rows]
+    rows.append(([1] * n, EQ, 1))
+    res = lp_solve(LinearProgram(list(llr.entries), rows, [(0, None)] * n))
+    assert res.status == OPTIMAL
+    return res.optimal_value
+
+
+def _full_polytope_value(H, llr):
+    """Reference: the polytope LP with every odd-set row up front."""
+    n = H.n_cols
+    rows = []
+    for support in H.rows:
+        for size in range(1, len(support) + 1, 2):
+            for S in combinations(support, size):
+                coeffs = [0] * n
+                for i in support:
+                    coeffs[i] = 1 if i in S else -1
+                rows.append((coeffs, LE, size - 1))
+    res = lp_solve(LinearProgram(list(llr.entries), rows, [(0, 1)] * n))
+    assert res.status == OPTIMAL
+    return res.optimal_value
+
+
+def _assert_matches_full_lp(H, flips, cs):
+    llr = llr_from_flips(H.n_cols, flips, 1)
+    value = _full_cone_value(H, llr)
+    out = zero_optimal(H, llr, cs)
+    assert out.objective == value
+    expected = (ZERO_STRICTLY_OPTIMAL if value > 0
+                else decode.TIE if value == 0 else FAILURE)
+    assert out.status == expected
+    if expected != ZERO_STRICTLY_OPTIMAL:
+        w = out.certificate.entries
+        assert sum(w) == 1
+        assert is_member(H, w, cs)[0]
+        assert sum(a * b for a, b in zip(w, llr.entries)) == value
+    sol, integral = feldman_lp_decode(H, llr)
+    assert sum(f * l for f, l in zip(sol, llr.entries)) \
+        == _full_polytope_value(H, llr)
+    if expected == ZERO_STRICTLY_OPTIMAL:
+        assert integral and not any(sol)
+
+
+def test_cutting_planes_match_full_lp_q2(H2):
+    cs = cone_constraints(H2)
+    patterns = [flips for e in range(4) for flips in combinations(range(7), e)]
+    assert len(patterns) == 64
+    for flips in patterns:
+        _assert_matches_full_lp(H2, flips, cs)
+
+
+def test_cutting_planes_match_full_lp_q4(H4):
+    cs = cone_constraints(H4)
+    rng = random.Random(5)
+    for e in (1, 1, 2, 2, 3, 3):
+        _assert_matches_full_lp(H4, sorted(rng.sample(range(21), e)), cs)
+
+
+def test_odd_set_separation_is_exact():
+    rng = random.Random(7)
+    for _ in range(600):
+        d = rng.randint(2, 7)
+        support = sorted(rng.sample(range(12), d))
+        f = [Fraction(0)] * 12
+        for i in support:
+            den = rng.choice((1, 2, 3, 4, 6, 7))
+            f[i] = Fraction(rng.randint(0, den), den)
+        scale = lcm(*(x.denominator for x in f)) * rng.randint(1, 3)
+        x = [int(v * scale) for v in f]
+        S, excess = decode._odd_set_cut(support, x, scale)
+        assert len(S) % 2 == 1 and S <= set(support)
+
+        def excess_of(T):
+            return (sum(f[i] if i in T else -f[i] for i in support)
+                    - (len(T) - 1))
+
+        assert Fraction(excess, scale) == excess_of(S)
+        best = max(excess_of(set(T)) for size in range(1, d + 1, 2)
+                   for T in combinations(support, size))
+        assert Fraction(excess, scale) == best
+        assert (excess > 0) == (best > 0)
 
 
 def test_canonical_completion_member_and_objective(H2):
