@@ -9,8 +9,7 @@ from itertools import combinations
 from math import comb
 
 from .cone import PseudoCodeword, _scaled_to_ints, cone_constraints
-from .errors import (EmptyFlips, LpNotOptimal, RowWeightTooLarge,
-                     TooManyPatterns)
+from .errors import EmptyFlips, LpNotOptimal, TooManyPatterns
 from .plane import ParityCheck
 from .simplex import EQ, GE, LE, OPTIMAL, LinearProgram, lp_solve
 import random
@@ -143,9 +142,6 @@ def feldman_lp_decode(H: ParityCheck, llr: LLRVector):
     Returns (fractional solution tuple, integral flag).
     """
     n = H.n_cols
-    for support in H.rows:
-        if len(support) > 7:
-            raise RowWeightTooLarge(f"row weight {len(support)} > 7")
     rows = []
     while True:
         lp = LinearProgram(objective=list(llr.entries), constraints=rows,

@@ -49,10 +49,6 @@ class EmptyFlips(PgconeError):
     pass
 
 
-class RowWeightTooLarge(PgconeError):
-    pass
-
-
 class TooManyPatterns(PgconeError):
     pass
 

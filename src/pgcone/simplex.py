@@ -1,23 +1,28 @@
-"""Exact rational two-phase simplex with Bland's anti-cycling rule.
+"""Exact two-phase simplex on an integer tableau, with Bland's rule for
+both the entering and the leaving column.
 
-All arithmetic is over fractions.Fraction; there is no floating point in
-this module, so sign decisions at degenerate points are exact.
+Each standard-form row with its right-hand side, and the objective, is
+scaled once to ints by the lcm of its denominators. A tableau row equals
+its equation times a positive factor, its entry at the basic column.
+Pivots are fraction-free (row := p row - row[col] prow, then division by
+the row's gcd) and touch only the rows with a nonzero in the pivot column;
+the ratio test cross-multiplies, so the factors cancel. Every sign and
+ratio is the rational tableau's, so the pivots are too, with no floating
+point anywhere. ``Fraction`` appears only at the boundary: the coercion of
+``LinearProgram`` data, the solution and the optimal value.
 
 The start basis is made of slacks wherever it can be. Every row is
 oriented so that its right-hand side is nonnegative, and a ``>=`` row with
 b == 0 is negated too, so that each ``<=`` row with b >= 0 and each ``>=``
-row with b <= 0 starts with its slack basic at coefficient +1. Only the
-remaining rows (``==`` rows, ``>=`` rows with b > 0, ``<=`` rows with
-b < 0) get an artificial column and go through phase 1; an LP without
-such rows skips phase 1. Phase 2 runs without the artificial columns.
-
-Pivots are sparse: a pivot collects the nonzero columns of its row once
-and updates only those entries, in place, in the rows and the objective
-row that have a nonzero in the pivot column.
+row with b <= 0 starts with its slack basic. Only the remaining rows
+(``==`` rows, ``>=`` rows with b > 0, ``<=`` rows with b < 0) get an
+artificial column and go through phase 1; an LP without such rows skips
+phase 1. Phase 2 runs without the artificial columns.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import LpNotOptimal
 
@@ -147,23 +152,27 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     n_art = sum(1 for _, rel, b in rows if _needs_artificial(rel, b))
     total = ncols + n_art
 
-    # Dense rows over [standard | slack | artificial | rhs], each oriented
-    # so that b >= 0 and, where possible, its slack starts in the basis.
+    # Int rows over [standard | slack | artificial | rhs]: each row times
+    # the lcm m of its denominators, oriented so that b >= 0 and, where
+    # possible, its slack starts in the basis at +m.
     tableau = []
     basis = []
+    slacks = []  # each row's slack column, None for an EQ row
     slack = nstd
     art = ncols
     for coeffs, rel, b in rows:
-        flip = b < 0 or (rel == GE and b == 0)
-        row = [_ZERO] * (total + 1)
+        m = lcm(b.denominator, *(a.denominator for a in coeffs.values()))
+        sign = -1 if b < 0 or (rel == GE and b == 0) else 1
+        row = [0] * (total + 1)
         for idx, a in coeffs.items():
-            row[idx] = -a if flip else a
-        row[-1] = -b if flip else b
+            row[idx] = sign * a.numerator * (m // a.denominator)
+        row[-1] = sign * b.numerator * (m // b.denominator)
+        slacks.append(None if rel == EQ else slack)
         if rel != EQ:
-            row[slack] = _ONE if (rel == LE) != flip else -_ONE
+            row[slack] = sign * m if rel == LE else -sign * m
             slack += 1
         if _needs_artificial(rel, b):
-            row[art] = _ONE
+            row[art] = m
             basis.append(art)
             art += 1
         else:
@@ -171,8 +180,7 @@ def lp_solve(lp: LinearProgram) -> LpResult:
         tableau.append(row)
 
     if n_art:
-        z1 = _reduced_costs(tableau, basis,
-                            [_ZERO] * ncols + [_ONE] * n_art, total)
+        z1 = _reduced_costs(tableau, basis, [0] * ncols + [1] * n_art, total)
         status = _run(tableau, basis, z1, total)
         if status != OPTIMAL:
             raise LpNotOptimal(f"phase 1 ended {status}")
@@ -192,31 +200,33 @@ def lp_solve(lp: LinearProgram) -> LpResult:
         for row in tableau:
             del row[ncols:total]
 
-    z2 = _reduced_costs(tableau, basis, c, ncols)
+    m = lcm(*(a.denominator for a in c))
+    z2 = _reduced_costs(tableau, basis,
+                        [a.numerator * (m // a.denominator) for a in c], ncols)
     if _run(tableau, basis, z2, ncols) == UNBOUNDED:
         return LpResult(status=UNBOUNDED)
-    y = [_ZERO] * ncols
+    y = [0] * ncols
     for r, row in enumerate(tableau):
-        y[basis[r]] = row[-1]
+        y[basis[r]] = Fraction(row[-1], row[basis[r]])
     xs = recover(y)
     value = sum((ci * xi for ci, xi in zip(lp.objective, xs) if ci and xi),
                 _ZERO)
-    tight = [idx for idx, (row, _, b) in enumerate(lp.constraints)
-             if sum(a * x for a, x in zip(row, xs) if a and x) == b]
+    # A row is tight exactly when its slack is zero: nonbasic, or basic
+    # with rhs 0. An EQ row, even one dropped as redundant, always is.
+    row_of = {col: row for col, row in zip(basis, tableau)}
+    tight = [k for k, s in enumerate(slacks[:len(lp.constraints)])
+             if s not in row_of or not row_of[s][-1]]
     return LpResult(status=OPTIMAL, optimal_value=value, solution=xs,
                     tight_constraints=tight)
 
 
 def _reduced_costs(tableau, basis, cost, width):
     """The objective row for cost over width columns plus the rhs entry,
-    with the basic columns eliminated."""
-    z = list(cost) + [_ZERO] * (width + 1 - len(cost))
+    up to a positive factor, with the basic columns eliminated."""
+    z = list(cost) + [0] * (width + 1 - len(cost))
     for r, row in enumerate(tableau):
-        f = z[basis[r]]
-        if f:
-            for j, v in enumerate(row):
-                if v:
-                    z[j] -= f * v
+        if z[basis[r]]:
+            _eliminate(z, row, basis[r])
     return z
 
 
@@ -227,31 +237,39 @@ def _run(tableau, basis, zrow, limit):
         col = next((j for j in range(limit) if zrow[j] < 0), None)
         if col is None:
             return OPTIMAL
-        r_pick, best = None, None
+        r_pick = None
         for r, row in enumerate(tableau):
             a = row[col]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or \
-                        (ratio == best and basis[r] < basis[r_pick]):
-                    r_pick, best = r, ratio
+                if r_pick is not None:
+                    # b / a against b_pick / a_pick, cross-multiplied.
+                    d = row[-1] * a_pick - b_pick * a
+                    if d > 0 or (d == 0 and basis[r] > basis[r_pick]):
+                        continue
+                r_pick, a_pick, b_pick = r, a, row[-1]
         if r_pick is None:
             return UNBOUNDED
         _pivot_full(tableau, zrow, basis, r_pick, col)
 
 
 def _pivot_full(tableau, zrow, basis, r, col):
-    """Pivot on (r, col): scale row r to 1 at col and eliminate col from
-    the other rows and zrow. Only the columns where row r is nonzero
-    change, so only those are touched, in place."""
+    """Pivot on (r, col): negate row r if its entry at col is negative, so
+    that entry becomes the row's positive factor, and eliminate col from
+    the other rows and zrow that have a nonzero there."""
     prow = tableau[r]
-    piv = prow[col]
-    pairs = [(j, v if piv == 1 else v / piv) for j, v in enumerate(prow) if v]
-    for j, v in pairs:
-        prow[j] = v
+    if prow[col] < 0:
+        prow[:] = [-v for v in prow]
     for row in (*tableau, zrow):
-        f = row[col]
-        if f and row is not prow:
-            for j, v in pairs:
-                row[j] -= f * v
+        if row[col] and row is not prow:
+            _eliminate(row, prow, col)
     basis[r] = col
+
+
+def _eliminate(row, prow, col):
+    """row := p row - row[col] prow with p = prow[col] > 0, divided by the
+    gcd of its entries. Zero at col; a positive factor stays positive."""
+    p, f = prow[col], row[col]
+    row[:] = [p * a - f * b for a, b in zip(row, prow)]
+    g = gcd(*row)
+    if g > 1:
+        row[:] = [a // g for a in row]

@@ -14,8 +14,7 @@ from pgcone.decode import (FAILURE, ZERO_STRICTLY_OPTIMAL, LLRVector,
                            bec_decode, bsc_sweep, canonical_completion,
                            feldman_lp_decode, llr_from_flips,
                            max_stopping_subset, zero_optimal)
-from pgcone.errors import (EmptyFlips, LpNotOptimal, RowWeightTooLarge,
-                           TooManyPatterns)
+from pgcone.errors import EmptyFlips, LpNotOptimal, TooManyPatterns
 from pgcone.plane import ParityCheck
 from pgcone.simplex import (EQ, GE, LE, OPTIMAL, UNBOUNDED, LinearProgram,
                             LpResult, lp_solve)
@@ -216,10 +215,18 @@ def test_feldman_three_flips_fails(H2):
     assert obj < 0  # the zero codeword is not optimal
 
 
-def test_feldman_row_weight_gate():
-    H = ParityCheck([list(range(8))], 8)
-    with pytest.raises(RowWeightTooLarge):
-        feldman_lp_decode(H, llr_from_flips(8, set(), 1))
+def test_feldman_agrees_with_zero_optimal_at_q8(H8):
+    # Row weight 9, past any row-weight limit: on a seeded sample the
+    # polytope decoder returns the all-zero integral word exactly when the
+    # cone LP finds the zero codeword strictly optimal.
+    rng = random.Random(3)
+    cs = cone_constraints(H8)
+    for e in (1, 2, 3):
+        for _ in range(2):
+            llr = llr_from_flips(H8.n_cols, rng.sample(range(H8.n_cols), e), 1)
+            sol, integral = feldman_lp_decode(H8, llr)
+            strict = zero_optimal(H8, llr, cs).status == ZERO_STRICTLY_OPTIMAL
+            assert (integral and not any(sol)) == strict
 
 
 def test_sweep_e1(H2):

@@ -188,6 +188,56 @@ def test_slack_start_and_redundant_rows_against_oracle():
             if sum(a * v for a, v in zip(row, x)) == b]
 
 
+def test_beale_cycling_lp():
+    # Beale's example, on which the textbook rule cycles; Bland's rule
+    # reaches the optimum.
+    F = Fraction
+    res = lp_solve(LinearProgram(
+        [F(-3, 4), 20, F(-1, 2), 6],
+        [([F(1, 4), -8, -1, 9], LE, 0), ([F(1, 2), -12, F(-1, 2), 3], LE, 0),
+         ([0, 0, 1, 0], LE, 1)],
+        bounds=[(0, None)] * 4))
+    assert res.status == OPTIMAL
+    assert res.optimal_value == Fraction(-5, 4)
+    assert res.solution == [1, 0, 1, 0]
+    assert res.tight_constraints == [1, 2]
+
+
+def test_fractional_data_against_oracle():
+    # Denominators 1-9 in the objective, the rows, the right-hand sides
+    # and the box, so each is scaled to ints by a nontrivial lcm.
+    rng = random.Random(41)
+
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    solved = 0
+    for _ in range(100):
+        n = rng.choice((2, 3))
+        c = [frac() for _ in range(n)]
+        rows = [([frac() for _ in range(n)], rng.choice((GE, LE)), frac())
+                for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.5:
+            rows.insert(rng.randint(0, len(rows)),
+                        ([frac() for _ in range(n)], EQ, frac()))
+        bounds = [tuple(sorted((frac(), frac()))) for _ in range(n)]
+        res = lp_solve(LinearProgram(list(c), list(rows), list(bounds)))
+        expected = _brute_force_box_min(c, rows, bounds)
+        if expected is None:
+            assert res.status == INFEASIBLE
+            continue
+        assert res.status == OPTIMAL
+        assert res.optimal_value == expected
+        x = res.solution
+        assert all(_row_holds(row, rel, b, x) for row, rel, b in rows)
+        assert all(lo <= v <= hi for v, (lo, hi) in zip(x, bounds))
+        assert res.tight_constraints == [
+            k for k, (row, _, b) in enumerate(rows)
+            if sum(a * v for a, v in zip(row, x)) == b]
+        solved += 1
+    assert solved >= 30
+
+
 def test_phase_one_status_is_checked(monkeypatch):
     monkeypatch.setattr(simplex, "_run", lambda *args: UNBOUNDED)
     with pytest.raises(LpNotOptimal):
