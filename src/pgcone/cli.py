@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import construct, decode, effect, weights
 from .cone import (PseudoCodeword, active_rank, is_member, is_minimal,
                    type_of)
-from .errors import PgconeError
+from .errors import MatrixMismatch, PgconeError
 from .plane import (build_plane, incidence_matrix, min_weight_codewords,
                     verify_axioms)
 from .rays import Budget, RaySet, enumerate_rays, histogram, histogram_csv
@@ -222,8 +222,21 @@ def cmd_decode_feldman(args):
     return 0
 
 
-def cmd_effective_awgnc(args):
+def _load_rayset(args):
+    """The ray set of --rayset; with --q, it must have been built for the
+    PG(2, q) incidence matrix."""
     rs = RaySet.load_jsonl(args.rayset)
+    if args.q is not None:
+        _, H = _plane_and_matrix(args)
+        if rs.h_matrix_id != H.matrix_id():
+            raise MatrixMismatch(
+                f"{args.rayset} was built for matrix {rs.h_matrix_id}, "
+                f"not for the q = {args.q} matrix {H.matrix_id()}")
+    return rs
+
+
+def cmd_effective_awgnc(args):
+    rs = _load_rayset(args)
     lines = []
     for r in rs:
         rep = effect.awgnc_first_kind(rs, r)
@@ -233,7 +246,7 @@ def cmd_effective_awgnc(args):
 
 
 def cmd_effective_bsc(args):
-    rs = RaySet.load_jsonl(args.rayset)
+    rs = _load_rayset(args)
     lines = []
     for r in rs:
         rep = effect.bsc_effectiveness(rs, r, args.L)
@@ -326,9 +339,10 @@ def build_parser():
         flips={"default": ""}, L={"type": _frac, "default": Fraction(1)})
 
     effective = sub.add_parser("effective").add_subparsers(dest="sub", required=True)
-    add(effective, "awgnc", cmd_effective_awgnc, rayset={"required": True})
+    add(effective, "awgnc", cmd_effective_awgnc, rayset={"required": True},
+        q={"type": int})
     add(effective, "bsc", cmd_effective_bsc, rayset={"required": True},
-        L={"type": _frac, "default": Fraction(1)})
+        q={"type": int}, L={"type": _frac, "default": Fraction(1)})
 
     construct_p = sub.add_parser("construct").add_subparsers(dest="sub", required=True)
     add(construct_p, "ex3", cmd_construct_ex3, q=q_arg)

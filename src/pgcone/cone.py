@@ -172,14 +172,22 @@ def _dot(coeffs, vec):
     return sum(map(mul, coeffs, vec))
 
 
+def _ints(omega):
+    """A positive integer multiple of omega, so every dot product with an
+    integer row keeps its sign: an all-int sequence as it is (its lcm scale
+    is 1), any other vector through Fractions and _scaled_to_ints."""
+    if isinstance(omega, (tuple, list)) and all(type(x) is int for x in omega):
+        return omega
+    return _scaled_to_ints(_vec(omega))
+
+
 def _scan(H: ParityCheck, omega, constraints):
-    """One pass at omega, scaled to ints once: (first violated constraint,
-    None) for a non-member, else (None, tight coefficient rows)."""
-    vec = _vec(omega)
-    if len(vec) != H.n_cols:
-        raise LengthMismatch(f"expected length {H.n_cols}, got {len(vec)}")
+    """One pass at omega, as ints: (first violated constraint, None) for a
+    non-member, else (None, tight coefficient rows)."""
+    ints = _ints(omega)
+    if len(ints) != H.n_cols:
+        raise LengthMismatch(f"expected length {H.n_cols}, got {len(ints)}")
     cs = constraints if constraints is not None else cone_constraints(H)
-    ints = _scaled_to_ints(vec)
     tight = []
     for con in cs:
         value = _dot(con.coeffs, ints)
@@ -197,12 +205,27 @@ def is_member(H: ParityCheck, omega, constraints=None):
 
 
 def integer_rank(rows):
-    """Rank of integer rows by Bareiss fraction-free elimination."""
-    mat = [list(r) for r in rows if any(r)]
+    """Rank of integer rows. Each row with exactly one nonzero entry is its
+    own pivot: the distinct columns of such rows add one each to the rank
+    and are dropped from the other rows, and Bareiss fraction-free
+    elimination ranks what is left."""
+    unit_cols = set()
+    rest = []
+    for r in rows:
+        nonzero = len(r) - r.count(0)
+        if nonzero == 1:
+            unit_cols.add(r.index(max(r) or min(r)))
+        elif nonzero:
+            rest.append(r)
+    if unit_cols and rest:
+        keep = [c for c in range(len(rest[0])) if c not in unit_cols]
+        mat = [row for row in ([r[c] for c in keep] for r in rest) if any(row)]
+    else:
+        mat = [list(r) for r in rest]
+    rank = len(unit_cols)
     if not mat:
-        return 0
+        return rank
     n_cols = len(mat[0])
-    rank = 0
     prev_pivot = 1
     r = 0
     for c in range(n_cols):
@@ -242,10 +265,10 @@ def active_rank(H: ParityCheck, omega, constraints=None) -> int:
 
 def is_minimal(H: ParityCheck, omega, constraints=None) -> bool:
     """Extreme ray of the cone: nonzero with tight rank n - 1."""
-    vec = _vec(omega)
-    if all(x == 0 for x in vec):
+    ints = _ints(omega)
+    if not any(ints):
         return False
-    return active_rank(H, vec, constraints) == H.n_cols - 1
+    return active_rank(H, ints, constraints) == H.n_cols - 1
 
 
 def type_of(omega, n=None) -> TypeVector:

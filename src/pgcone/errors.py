@@ -57,6 +57,10 @@ class IncompleteRaySet(PgconeError):
     pass
 
 
+class MatrixMismatch(PgconeError):
+    """A ray set was built for another parity-check matrix."""
+
+
 class NoSuchPair(PgconeError):
     pass
 

@@ -27,8 +27,12 @@ class RaySet:
     def __post_init__(self):
         seen = {}
         for r in self.rays:
-            pcw = r if isinstance(r, PseudoCodeword) else PseudoCodeword(r)
-            seen[pcw.canonical] = None
+            if isinstance(r, PseudoCodeword):
+                seen[r.canonical] = None
+            elif all(type(x) is int for x in r):
+                seen[_reduce(r)] = None
+            else:
+                seen[PseudoCodeword(r).canonical] = None
         self.rays = tuple(PseudoCodeword(c) for c in sorted(seen))
         if self.rays:
             self.n = self.rays[0].n
@@ -138,12 +142,11 @@ def enumerate_rays(H: ParityCheck, budget: Budget = None, seed=None) -> RaySet:
             else:
                 neg.append((r, mask, v))
         if neg:
-            # holders[k]: bit p set when the p-th current ray is tight at row k.
-            holders = [0] * step
-            for p, mask in enumerate(rays.values()):
-                for k in _bits(mask):
-                    holders[k] |= 1 << p
-            everyone = (1 << len(rays)) - 1
+            masks = list(rays.values())
+            # holders[k]: bit p set when the p-th current ray is tight at
+            # row k, built the first time a pair needs row k.
+            holders = {}
+            everyone = (1 << len(masks)) - 1
             for rp, mp, vp in pos:
                 if out_of_time():
                     complete = False
@@ -155,7 +158,10 @@ def enumerate_rays(H: ParityCheck, budget: Budget = None, seed=None) -> RaySet:
                     rows = _bits(common)
                     tight_on_all = everyone
                     for k in rows:
-                        tight_on_all &= holders[k]
+                        h = holders.get(k)
+                        if h is None:
+                            h = holders[k] = _holder(masks, k)
+                        tight_on_all &= h
                     # r+ and r- are two of the rays tight on all of common.
                     if tight_on_all.bit_count() > 2:
                         continue
@@ -169,12 +175,20 @@ def enumerate_rays(H: ParityCheck, budget: Budget = None, seed=None) -> RaySet:
             complete = False
             break
 
-    result = []
-    for r in rays:
-        if is_member(H, r, cs)[0] and is_minimal(H, r, cs):
-            result.append(PseudoCodeword(r))
-    return RaySet(rays=tuple(result), h_matrix_id=H.matrix_id(),
+    result = tuple(r for r in rays
+                   if is_member(H, r, cs)[0] and is_minimal(H, r, cs))
+    return RaySet(rays=result, h_matrix_id=H.matrix_id(),
                   complete=complete, n=n)
+
+
+def _holder(masks, k):
+    """Bitset of the positions p whose masks[p] has bit k set."""
+    bit = 1 << k
+    h = 0
+    for p, mask in enumerate(masks):
+        if mask & bit:
+            h |= 1 << p
+    return h
 
 
 def _bits(mask):

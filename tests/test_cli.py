@@ -123,6 +123,22 @@ def test_effective_subcommands(tmp_path):
     assert all(json.loads(line)["kind"] == "First" for line in lines)
 
 
+def test_effective_rejects_a_rayset_of_another_matrix(tmp_path, capsys):
+    assert run(tmp_path, "rays", "enumerate", "--q", "2") == 0
+    rays_path = str(tmp_path / "rays_q2.jsonl")
+    capsys.readouterr()
+    for command in ("awgnc", "bsc"):
+        assert run(tmp_path, "effective", command, "--rayset", rays_path,
+                   "--q", "4") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / f"effective_{command}.jsonl").exists()
+    for command in ("awgnc", "bsc"):
+        assert run(tmp_path, "effective", command, "--rayset", rays_path,
+                   "--q", "2") == 0
+        lines = (tmp_path / f"effective_{command}.jsonl").read_text().splitlines()
+        assert len(lines) == 14
+
+
 def test_construct_ex3(tmp_path, capsys):
     assert run(tmp_path, "construct", "ex3", "--q", "2") == 0
     assert "awgnc_pw 25/4" in capsys.readouterr().out

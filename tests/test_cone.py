@@ -10,6 +10,7 @@ from pgcone.cone import (PseudoCodeword, TypeVector, active_rank,
                          is_minimal, is_stopping_set, mod2_reduce, support,
                          type_of)
 from pgcone.errors import LengthMismatch, NonInteger, NotInCone
+from pgcone.rays import Budget, enumerate_rays
 
 
 def test_constraint_counts(H2, H4, fixture_h):
@@ -178,3 +179,97 @@ def test_integer_rank_against_fraction_elimination():
 def test_type_vector_validation():
     with pytest.raises(ValueError):
         TypeVector({1: 5, 2: 5}, 7)
+
+
+def _fraction_rank(rows):
+    """Reference rank by Gauss-Jordan elimination over Fractions."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(mat[0]) if mat else 0):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][c]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for r in range(len(mat)):
+            if r != rank and mat[r][c]:
+                f = mat[r][c] / mat[rank][c]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def test_integer_rank_with_unit_zero_and_repeated_rows():
+    rng = random.Random(7)
+    assert integer_rank([]) == _fraction_rank([]) == 0
+    shapes = {"all unit": 0, "unit and dense": 0, "no unit": 0}
+    for k in range(2000):
+        n = rng.randint(1, 8)
+        rows = []
+        for _ in range(rng.randint(0, 10)):
+            kind = rng.random()
+            if kind < 0.45:
+                row = [0] * n
+                row[rng.randrange(n)] = rng.choice((-3, -2, -1, 1, 2, 5))
+            elif kind < 0.55:
+                row = [0] * n
+            elif kind < 0.7 and rows:
+                row = list(rng.choice(rows))
+            else:
+                row = [rng.randint(-3, 3) for _ in range(n)]
+            rows.append(tuple(row) if rng.random() < 0.5 else row)
+        if k % 10 == 0:
+            rows = [tuple(1 if c == i else 0 for c in range(n))
+                    for i in rng.sample(range(n), rng.randint(1, n))]
+        units = sum(1 for r in rows if sum(1 for x in r if x) == 1)
+        if rows and units == len(rows):
+            shapes["all unit"] += 1
+        elif units:
+            shapes["unit and dense"] += 1
+        else:
+            shapes["no unit"] += 1
+        assert integer_rank(rows) == _fraction_rank(rows), rows
+    assert min(shapes.values()) >= 100, shapes
+
+
+def _three_forms(vec):
+    """The same vector as ints, as Fractions and as a PseudoCodeword (the
+    last only when nonnegative)."""
+    forms = [tuple(vec), [Fraction(x) for x in vec]]
+    if min(vec) >= 0:
+        forms.append(PseudoCodeword(vec))
+    return forms
+
+
+def _answers(H, omega, cs):
+    ok, violated = is_member(H, omega, cs)
+    try:
+        rank, minimal = active_rank(H, omega, cs), is_minimal(H, omega, cs)
+    except NotInCone:
+        rank = minimal = "NotInCone"
+    return ok, violated, rank, minimal
+
+
+def test_int_fraction_and_pseudocodeword_inputs_agree(H2, H4, rays2):
+    rays4 = enumerate_rays(H4, budget=Budget(max_rays=800))
+    assert len(rays4) == 19
+    rng = random.Random(11)
+    cases = [(H2, r.canonical, True) for r in rays2]
+    cases += [(H4, r.canonical, True) for r in rays4]
+    for H in (H2, H4):
+        for _ in range(20):
+            vec = [rng.randint(0, 3) for _ in range(H.n_cols)]
+            vec[rng.randrange(H.n_cols)] = sum(vec) + 1
+            cases.append((H, vec, False))
+    negative = list(rays2.rays[0].canonical)
+    negative[negative.index(0)] = -1
+    cases.append((H2, negative, False))
+    for H, vec, member in cases:
+        cs = cone_constraints(H)
+        answers = [_answers(H, form, cs) for form in _three_forms(vec)]
+        assert all(a == answers[0] for a in answers), vec
+        ok, violated, rank, minimal = answers[0]
+        assert ok == member and (violated is None) == member
+        if member:
+            assert rank == H.n_cols - 1 and minimal is True
+        else:
+            assert rank == minimal == "NotInCone"

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from pgcone.cone import TypeVector, type_of
+from pgcone.cone import TypeVector, is_member, is_minimal, type_of
 from pgcone.errors import BadM, ZeroEta, ZeroVector
 from pgcone.weights import (awgnc_pw, bec_pw, beta_coefficient, bound_cor3,
                             bound_cor4, bound_generalized, bound_lemma1,
@@ -197,3 +197,36 @@ def test_conjectured_wp():
         assert pw_from_type(t, "AWGNC") == conjectured_wp(q)
     with pytest.raises(ValueError):
         conjectured_wp(6)
+
+
+def test_pseudo_weights_invariant_under_positive_scaling(rays2, codewords4):
+    rng = random.Random(12)
+    for pool in ([r.canonical for r in rays2], codewords4):
+        for _ in range(60):
+            vec = [Fraction(0)] * len(pool[0])
+            for _ in range(rng.randint(1, 4)):
+                c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                w = pool[rng.randrange(len(pool))]
+                vec = [a + c * b for a, b in zip(vec, w)]
+            c = Fraction(rng.randint(1, 50), rng.randint(1, 50))
+            scaled = [c * x for x in vec]
+            assert awgnc_pw(scaled) == awgnc_pw(vec)
+            assert bsc_pw(scaled) == bsc_pw(vec)
+            assert bec_pw(scaled) == bec_pw(vec)
+
+
+def test_q4_minimal_pcw_below_the_conjectured_family(H4):
+    """A q = 4 minimal pseudo-codeword of support 11 whose AWGNC
+    pseudo-weight 49/5 lies below conjectured_wp(4) = 128/13, and above
+    every applicable lower bound."""
+    omega = [2, 1, 2, 1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 0, 1, 2, 0, 0, 0, 0, 0]
+    assert is_member(H4, omega)[0] and is_minimal(H4, omega)
+    t = type_of(omega)
+    assert (t.get(1), t.get(2), t.values()) == (8, 3, [1, 2])
+    assert awgnc_pw(omega) == Fraction(49, 5)
+    assert bsc_pw(omega) == 8
+    assert bec_pw(omega) == 11
+    assert bound_lemma1(t).value == Fraction(39, 4)
+    assert bound_cor4(omega).value == Fraction(88, 9)
+    assert thm5_applicable(t, 4) and bound_thm5(4) == 8
+    assert awgnc_pw(omega) < conjectured_wp(4) == Fraction(128, 13)
