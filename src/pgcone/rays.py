@@ -11,8 +11,8 @@ from itertools import combinations
 from math import gcd
 
 from . import weights
-from .cone import (PseudoCodeword, cone_constraints, integer_rank, is_member,
-                   is_minimal, is_stopping_set)
+from .cone import (PseudoCodeword, _ints, cone_constraints, integer_rank,
+                   is_member, is_minimal, is_stopping_set)
 from .errors import LengthMismatch
 from .plane import ParityCheck
 
@@ -27,12 +27,7 @@ class RaySet:
     def __post_init__(self):
         seen = {}
         for r in self.rays:
-            if isinstance(r, PseudoCodeword):
-                seen[r.canonical] = None
-            elif all(type(x) is int for x in r):
-                seen[_reduce(r)] = None
-            else:
-                seen[PseudoCodeword(r).canonical] = None
+            seen[_reduce(_ints(r))] = None
         self.rays = tuple(PseudoCodeword(c) for c in sorted(seen))
         if self.rays:
             self.n = self.rays[0].n
