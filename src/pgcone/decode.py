@@ -66,35 +66,35 @@ def zero_optimal(H: ParityCheck, llr: LLRVector, constraints=None) -> DecodeOutc
     """Minimize <omega, lambda> over the mass-one slice of the fundamental
     cone; the sign of the optimum classifies the zero codeword's LP fate.
 
-    Solved by exact cutting planes. The first LP has only the mass row
-    sum(omega) = 1 and omega >= 0. Each optimum is scaled to ints once and
-    separated check by check: check j violates at most one cone row, the
-    one whose pivot i is the argmax of omega on I_j, and only when
-    2 omega_i > sum(omega_{I_j}). Those rows are added and the LP solved
-    again, until no cone row is violated; the optimum is then feasible for
-    the full cone LP, so it is that LP's optimum. ``constraints`` is a
+    Solved by exact cutting planes in one ``lp_solve`` call. The LP has
+    only the mass row sum(omega) = 1 and omega >= 0; its separation oracle
+    scales each optimum to ints once and separates check by check: check j
+    violates at most one cone row, the one whose pivot i is the argmax of
+    omega on I_j, and only when 2 omega_i > sum(omega_{I_j}). ``lp_solve``
+    appends those rows and re-enters by dual simplex from the last basis,
+    until no cone row is violated; the optimum is then feasible for the
+    full cone LP, so it is that LP's optimum. ``constraints`` is a
     precomputed ``cone_constraints(H)``; its cone rows, looked up by label,
-    are the rows the loop adds.
+    are the rows the oracle returns.
     """
     n = H.n_cols
     cs = constraints if constraints is not None else cone_constraints(H)
     pool = {con.label[1:]: con.coeffs for con in cs.cone_rows}
-    rows = [([1] * n, EQ, 1)]
-    while True:
-        lp = LinearProgram(objective=list(llr.entries), constraints=rows,
-                           bounds=[(0, None)] * n)
-        res = lp_solve(lp)
-        if res.status != OPTIMAL:
-            raise LpNotOptimal(f"cone-slice LP ended {res.status}")
-        x = _scaled_to_ints(res.solution)
+
+    def separate(solution):
+        x = _scaled_to_ints(solution)
         cuts = []
         for j, support in enumerate(H.rows):
             i = max(support, key=x.__getitem__)
             if 2 * x[i] > sum(x[k] for k in support):
                 cuts.append((pool[j, i], GE, 0))
-        if not cuts:
-            break
-        rows.extend(cuts)
+        return cuts
+
+    res = lp_solve(LinearProgram(objective=list(llr.entries),
+                                 constraints=[([1] * n, EQ, 1)],
+                                 bounds=[(0, None)] * n, separate=separate))
+    if res.status != OPTIMAL:
+        raise LpNotOptimal(f"cone-slice LP ended {res.status}")
     value = res.optimal_value
     if value > 0:
         return DecodeOutcome(ZERO_STRICTLY_OPTIMAL, value)
@@ -133,24 +133,20 @@ def feldman_lp_decode(H: ParityCheck, llr: LLRVector):
     """Fundamental-polytope LP decoding: per check j and odd S within I_j,
     sum(f_S) - sum(f_{I_j \\ S}) <= |S| - 1, with 0 <= f <= 1.
 
-    Solved by exact cutting planes. The first LP has only the box
-    0 <= f <= 1. Each optimum is separated check by check with
-    ``_odd_set_cut``, which finds the most violated odd-set row of the
-    check; every violated one is added and the LP solved again, until no
-    odd-set row is violated and the optimum is the full LP's.
+    Solved by exact cutting planes in one ``lp_solve`` call. The LP has
+    only the box 0 <= f <= 1; its separation oracle runs ``_odd_set_cut``
+    on each check, which finds the check's most violated odd-set row, and
+    returns every violated one. ``lp_solve`` appends them and re-enters by
+    dual simplex from the last basis, until no odd-set row is violated and
+    the optimum is the full LP's.
 
     Returns (fractional solution tuple, integral flag).
     """
     n = H.n_cols
-    rows = []
-    while True:
-        lp = LinearProgram(objective=list(llr.entries), constraints=rows,
-                           bounds=[(0, 1)] * n)
-        res = lp_solve(lp)
-        if res.status != OPTIMAL:
-            raise LpNotOptimal(f"polytope LP ended {res.status}")
+
+    def separate(solution):
         # Scaling with a trailing 1 puts the common denominator last.
-        x = _scaled_to_ints((*res.solution, 1))
+        x = _scaled_to_ints((*solution, 1))
         scale = x.pop()
         cuts = []
         for support in H.rows:
@@ -160,9 +156,12 @@ def feldman_lp_decode(H: ParityCheck, llr: LLRVector):
                 for i in support:
                     coeffs[i] = 1 if i in S else -1
                 cuts.append((coeffs, LE, len(S) - 1))
-        if not cuts:
-            break
-        rows.extend(cuts)
+        return cuts
+
+    res = lp_solve(LinearProgram(objective=list(llr.entries), constraints=[],
+                                 bounds=[(0, 1)] * n, separate=separate))
+    if res.status != OPTIMAL:
+        raise LpNotOptimal(f"polytope LP ended {res.status}")
     sol = tuple(res.solution)
     integral = all(x in (0, 1) for x in sol)
     return sol, integral

@@ -1,5 +1,6 @@
 """Exact two-phase simplex on an integer tableau, with Bland's rule for
-both the entering and the leaving column.
+both the entering and the leaving column, and cutting planes re-entered
+by dual simplex.
 
 Each standard-form row with its right-hand side, and the objective, is
 scaled once to ints by the lcm of its denominators. A tableau row equals
@@ -18,6 +19,22 @@ row with b <= 0 starts with its slack basic. Only the remaining rows
 (``==`` rows, ``>=`` rows with b > 0, ``<=`` rows with b < 0) get an
 artificial column and go through phase 1; an LP without such rows skips
 phase 1. Phase 2 runs without the artificial columns.
+
+An LP may carry a separation oracle, ``separate``: given an optimal
+solution it returns the rows that solution violates, in ``constraints``
+form (inequalities only), or nothing once the solution is feasible for the
+whole family. Each returned row is appended to the final tableau with a
+new slack column, which starts basic: the row is scaled to ints once and
+the basic columns are eliminated from it, so its rhs is the slack's value
+at the current solution, negative for a violated row. The reduced costs
+are untouched, so the basis stays dual feasible, and dual simplex restores
+primal feasibility with Bland's rule in the dual: the leaving row is the
+negative-rhs row with the smallest basic column, and the entering column
+the one of least ratio z_j / -a_j over a_j < 0 (cross-multiplied), ties to
+the smallest column. A leaving row with no a_j < 0 proves the LP with its
+cuts infeasible. The oracle is called again on each new optimum until it
+returns nothing, so an oracle that keeps returning rows the solution
+satisfies never ends the loop.
 """
 
 from dataclasses import dataclass, field
@@ -41,10 +58,13 @@ _ONE = Fraction(1)
 @dataclass
 class LinearProgram:
     """Minimize objective . x subject to rows (a, rel, b) and optional
-    per-variable (lower, upper) bounds; a bound of None means unbounded."""
+    per-variable (lower, upper) bounds; a bound of None means unbounded.
+    ``separate``, when given, maps an optimal solution x to the rows of a
+    larger family that x violates (see the module docstring)."""
     objective: list
     constraints: list
     bounds: list = None
+    separate: object = None
 
     def __post_init__(self):
         self.objective = [Fraction(c) for c in self.objective]
@@ -79,9 +99,11 @@ class LpResult:
 def _to_standard_form(lp: LinearProgram):
     """Rewrite as min c.y, A y (rel) b with y >= 0.
 
-    Returns (c, nstd, rows, recover): rows hold their coefficients as a
-    sparse {std index: value} dict, and recover maps a standard-form
-    solution back to the original variables.
+    Returns (c, nstd, rows, expand, recover): rows hold their
+    coefficients as a sparse {std index: value} dict, expand maps a row of
+    original coefficients to that dict and the constant its bound shifts
+    add, and recover maps a standard-form solution back to the original
+    variables.
     """
     n = len(lp.objective)
     var_terms = []   # per original var: list of (std index, sign)
@@ -138,7 +160,7 @@ def _to_standard_form(lp: LinearProgram):
             xs.append(val)
         return xs
 
-    return c, nstd, rows, recover
+    return c, nstd, rows, expand, recover
 
 
 def _needs_artificial(rel, b):
@@ -146,8 +168,20 @@ def _needs_artificial(rel, b):
     return rel == EQ or (rel == GE and b > 0) or (rel == LE and b < 0)
 
 
+def _int_row(coeffs, b, sign, width):
+    """coeffs (a sparse {index: value} dict) and rhs b, times sign and the
+    lcm m of their denominators, as an int row of width columns plus the
+    rhs. Returns the row and m."""
+    m = lcm(b.denominator, *(a.denominator for a in coeffs.values()))
+    row = [0] * (width + 1)
+    for idx, a in coeffs.items():
+        row[idx] = sign * a.numerator * (m // a.denominator)
+    row[-1] = sign * b.numerator * (m // b.denominator)
+    return row, m
+
+
 def lp_solve(lp: LinearProgram) -> LpResult:
-    c, nstd, rows, recover = _to_standard_form(lp)
+    c, nstd, rows, expand, recover = _to_standard_form(lp)
     ncols = nstd + sum(1 for _, rel, _ in rows if rel != EQ)
     n_art = sum(1 for _, rel, b in rows if _needs_artificial(rel, b))
     total = ncols + n_art
@@ -161,12 +195,8 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     slack = nstd
     art = ncols
     for coeffs, rel, b in rows:
-        m = lcm(b.denominator, *(a.denominator for a in coeffs.values()))
         sign = -1 if b < 0 or (rel == GE and b == 0) else 1
-        row = [0] * (total + 1)
-        for idx, a in coeffs.items():
-            row[idx] = sign * a.numerator * (m // a.denominator)
-        row[-1] = sign * b.numerator * (m // b.denominator)
+        row, m = _int_row(coeffs, b, sign, total)
         slacks.append(None if rel == EQ else slack)
         if rel != EQ:
             row[slack] = sign * m if rel == LE else -sign * m
@@ -205,24 +235,54 @@ def lp_solve(lp: LinearProgram) -> LpResult:
                         [a.numerator * (m // a.denominator) for a in c], ncols)
     if _run(tableau, basis, z2, ncols) == UNBOUNDED:
         return LpResult(status=UNBOUNDED)
-    y = [0] * ncols
-    for r, row in enumerate(tableau):
-        y[basis[r]] = Fraction(row[-1], row[basis[r]])
-    xs = recover(y)
+    # slacks keeps the rows of lp.constraints, then gains the separated
+    # rows' slacks in the order the rows are added.
+    slacks = slacks[:len(lp.constraints)]
+    width = ncols
+    while True:
+        y = [0] * width
+        for r, row in enumerate(tableau):
+            y[basis[r]] = Fraction(row[-1], row[basis[r]])
+        xs = recover(y)
+        cuts = lp.separate(xs) if lp.separate is not None else None
+        if not cuts:
+            break
+        # Each cut gets a slack column at +m, basic, before the rhs.
+        full = width + len(cuts)
+        for row in (*tableau, z2):
+            row[-1:-1] = [0] * len(cuts)
+        new = []
+        for k, (a, rel, b) in enumerate(cuts, width):
+            if len(a) != len(lp.objective):
+                raise ValueError("constraint dimension mismatch")
+            if rel == EQ:
+                raise ValueError("separated rows must be inequalities")
+            coeffs, const = expand([Fraction(v) if v else v for v in a])
+            row, m = _int_row(coeffs, Fraction(b) - const,
+                              1 if rel == LE else -1, full)
+            row[k] = m
+            new.append(_reduced_costs(tableau, basis, row, full))
+            slacks.append(k)
+        tableau.extend(new)
+        basis.extend(range(width, full))
+        width = full
+        if _dual(tableau, basis, z2, width) == INFEASIBLE:
+            return LpResult(status=INFEASIBLE)
     value = sum((ci * xi for ci, xi in zip(lp.objective, xs) if ci and xi),
                 _ZERO)
     # A row is tight exactly when its slack is zero: nonbasic, or basic
     # with rhs 0. An EQ row, even one dropped as redundant, always is.
     row_of = {col: row for col, row in zip(basis, tableau)}
-    tight = [k for k, s in enumerate(slacks[:len(lp.constraints)])
+    tight = [k for k, s in enumerate(slacks)
              if s not in row_of or not row_of[s][-1]]
     return LpResult(status=OPTIMAL, optimal_value=value, solution=xs,
                     tight_constraints=tight)
 
 
 def _reduced_costs(tableau, basis, cost, width):
-    """The objective row for cost over width columns plus the rhs entry,
-    up to a positive factor, with the basic columns eliminated."""
+    """cost padded to width columns plus the rhs entry, with the basic
+    columns eliminated: an objective row up to a positive factor, or a
+    new row expressed in the nonbasic columns."""
     z = list(cost) + [0] * (width + 1 - len(cost))
     for r, row in enumerate(tableau):
         if z[basis[r]]:
@@ -252,6 +312,30 @@ def _run(tableau, basis, zrow, limit):
         _pivot_full(tableau, zrow, basis, r_pick, col)
 
 
+def _dual(tableau, basis, zrow, limit):
+    """Dual simplex from a dual feasible basis (zrow >= 0 below limit)
+    until every rhs is nonnegative; Bland's rule in the dual. Returns
+    INFEASIBLE when the leaving row has no negative entry."""
+    while True:
+        r_pick = None
+        for r, row in enumerate(tableau):
+            if row[-1] < 0 and (r_pick is None or basis[r] < basis[r_pick]):
+                r_pick = r
+        if r_pick is None:
+            return OPTIMAL
+        row = tableau[r_pick]
+        col = None
+        for j in range(limit):
+            a = row[j]
+            if a < 0 and (col is None
+                          # z_j / -a below z_col / -a_col, cross-multiplied.
+                          or zrow[j] * a_col > zrow[col] * a):
+                col, a_col = j, a
+        if col is None:
+            return INFEASIBLE
+        _pivot_full(tableau, zrow, basis, r_pick, col)
+
+
 def _pivot_full(tableau, zrow, basis, r, col):
     """Pivot on (r, col): negate row r if its entry at col is negative, so
     that entry becomes the row's positive factor, and eliminate col from
@@ -266,9 +350,14 @@ def _pivot_full(tableau, zrow, basis, r, col):
 
 
 def _eliminate(row, prow, col):
-    """row := p row - row[col] prow with p = prow[col] > 0, divided by the
-    gcd of its entries. Zero at col; a positive factor stays positive."""
+    """row := p row - f prow with p = prow[col] > 0 and f = row[col], both
+    divided by their gcd first, then the row divided by the gcd of its
+    entries. Zero at col; a positive factor stays positive."""
     p, f = prow[col], row[col]
+    g = gcd(p, f)
+    if g > 1:
+        p //= g
+        f //= g
     row[:] = [p * a - f * b for a, b in zip(row, prow)]
     g = gcd(*row)
     if g > 1:

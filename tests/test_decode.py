@@ -229,6 +229,24 @@ def test_feldman_agrees_with_zero_optimal_at_q8(H8):
             assert (integral and not any(sol)) == strict
 
 
+def test_zero_optimal_q8_weight_four(H8):
+    # The four e = 4 patterns of random.Random(3), drawn after four
+    # patterns each of e = 1, 2 and 3, as in BENCH_6.json.
+    rng = random.Random(3)
+    for e in (1, 2, 3):
+        for _ in range(4):
+            rng.sample(range(H8.n_cols), e)
+    cs = cone_constraints(H8)
+    objectives = []
+    for _ in range(4):
+        flips = sorted(rng.sample(range(H8.n_cols), 4))
+        out = zero_optimal(H8, llr_from_flips(H8.n_cols, flips, 1), cs)
+        assert out.status == ZERO_STRICTLY_OPTIMAL
+        objectives.append(out.objective)
+    assert objectives == [Fraction(1, 5), Fraction(4, 15), Fraction(1, 5),
+                          Fraction(1, 5)]
+
+
 def test_sweep_e1(H2):
     stats = bsc_sweep(H2, 1)
     assert (stats.patterns, stats.corrected) == (7, 7)

@@ -262,3 +262,172 @@ def test_duality_bound_on_cone_slice(H2):
         best_ray = min(
             sum(ci * xi for ci, xi in zip(c, r)) / sum(r) for r in rays)
         assert res.optimal_value == best_ray
+
+
+def _hidden_row_oracle(hidden, most_violated_only):
+    """An oracle over the hidden rows: the ones x violates, or only the
+    most violated of them."""
+    def separate(x):
+        excess = []
+        for row, rel, b in hidden:
+            lhs = sum(a * v for a, v in zip(row, x))
+            over = lhs - b if rel == LE else b - lhs
+            if over > 0:
+                excess.append((over, (row, rel, b)))
+        if most_violated_only and excess:
+            return [max(excess, key=lambda e: e[0])[1]]
+        return [row for _, row in excess]
+    return separate
+
+
+def _added_rows(rows, separate):
+    """Wrap separate so that every row it returns is recorded in order."""
+    added = list(rows)
+
+    def recording(x):
+        cuts = separate(x)
+        added.extend(cuts)
+        return cuts
+    return added, recording
+
+
+def test_separated_rows_match_the_full_lp():
+    # Box-bounded LPs with fractional data: visible rows (EQ ones too) in
+    # constraints, further GE/LE rows only behind the oracle. The warm
+    # re-solve must end where a cold solve of every row ends.
+    rng = random.Random(43)
+
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    kinds = {OPTIMAL: 0, INFEASIBLE: 0}
+    rounds = 0  # separated rows added, over all trials
+    for trial in range(100):
+        n = rng.choice((2, 3, 4))
+        c = [frac() for _ in range(n)]
+        bounds = [tuple(sorted((frac(), frac()))) for _ in range(n)]
+        rows = [([frac() for _ in range(n)], rng.choice((GE, LE)), frac())
+                for _ in range(rng.randint(0, 1))]
+        # Most hidden rows hold at a point p of the box, so most of these
+        # LPs are feasible; one trial in five draws them at random.
+        p = [lo + (hi - lo) * Fraction(rng.randint(0, 4), 4)
+             for lo, hi in bounds]
+        hidden = []
+        for _ in range(rng.randint(2, 8)):
+            a = [frac() for _ in range(n)]
+            rel, b = rng.choice((GE, LE)), frac()
+            if trial % 5:
+                at_p = sum(ai * pi for ai, pi in zip(a, p))
+                b = at_p - abs(b) if rel == GE else at_p + abs(b)
+            hidden.append((a, rel, b))
+        if trial % 3 == 0:
+            x = [rng.randint(-2, 2) for _ in range(n)]
+            rows.append((x, EQ, sum(ai * pi for ai, pi in zip(x, p))))
+        added, separate = _added_rows(
+            rows, _hidden_row_oracle(hidden, trial % 2 == 1))
+        res = lp_solve(LinearProgram(list(c), list(rows), list(bounds),
+                                     separate=separate))
+        full = lp_solve(LinearProgram(list(c), rows + hidden, list(bounds)))
+        assert res.status == full.status
+        kinds[res.status] += 1
+        rounds += len(added) - len(rows)
+        if res.status != OPTIMAL:
+            continue
+        assert res.optimal_value == full.optimal_value
+        x = res.solution
+        assert all(_row_holds(row, rel, b, x) for row, rel, b in rows + hidden)
+        assert all(lo <= v <= hi for v, (lo, hi) in zip(x, bounds))
+        assert res.tight_constraints == [
+            k for k, (row, _, b) in enumerate(added)
+            if sum(a * v for a, v in zip(row, x)) == b]
+    assert kinds[OPTIMAL] >= 50 and kinds[INFEASIBLE] >= 10
+    assert rounds >= 100
+
+
+def test_separated_row_can_make_the_lp_infeasible():
+    # x <= 1 from the box, then x >= 2 from the oracle: the dual step
+    # finds no entering column.
+    calls = []
+
+    def separate(x):
+        calls.append(x)
+        return [([1, 0], GE, 2)] if len(calls) == 1 else []
+
+    res = lp_solve(LinearProgram([1, 1], [([1, 1], GE, Fraction(1, 2))],
+                                 [(0, 1), (0, 1)], separate=separate))
+    assert res.status == INFEASIBLE
+    assert len(calls) == 1
+
+
+def test_separated_rows_in_original_variables():
+    # Shifted, upper-bounded and free variables: a cut is written in the
+    # original variables, and its rhs absorbs the bound shifts.
+    def separate(x):
+        cuts = []
+        if x[0] + x[1] < 3:
+            cuts.append(([1, 1, 0], GE, 3))
+        if x[2] < x[0] - 4:
+            cuts.append(([-1, 0, 1], GE, -4))
+        return cuts
+
+    bounds = [(-2, 5), (None, 4), (None, None)]
+    res = lp_solve(LinearProgram([1, -2, 1], [([0, 0, 1], GE, -10)], bounds,
+                                 separate=separate))
+    # Without the cuts the optimum is (-2, 4, -10), which violates both;
+    # with them it is (-1, 4, -5), where both are tight.
+    assert res.status == OPTIMAL
+    assert res.optimal_value == -14
+    assert res.solution == [-1, 4, -5]
+    assert res.tight_constraints == [1, 2]
+
+
+def test_separated_rows_are_validated():
+    # An oracle row must be an inequality over all the variables.
+    for cut in (([1], EQ, Fraction(1, 2)), ([1, 1], GE, 1)):
+        lp = LinearProgram([1], [], [(0, 1)], separate=lambda x: [cut])
+        with pytest.raises(ValueError):
+            lp_solve(lp)
+
+
+def test_dual_degenerate_ties_terminate(monkeypatch):
+    # A zero objective leaves every reduced cost at 0, so every dual ratio
+    # ties and Bland's rule alone picks the entering column: the smallest
+    # one with a negative entry. The oracle returns one hidden row at a
+    # time; every dual step follows Bland's rule, and every solve ends
+    # within a pivot budget and agrees with the cold solve of all rows.
+    pivots, tied = [], []
+    pivot = simplex._pivot_full
+
+    def checked(tableau, zrow, basis, r, col):
+        row = tableau[r]
+        if row[-1] < 0:
+            # A dual step: r is the negative-rhs row with the smallest
+            # basic column, col the smallest column of least z_j / -a_j.
+            assert basis[r] == min(basis[i] for i, other in enumerate(tableau)
+                                   if other[-1] < 0)
+            ratios = {j: Fraction(zrow[j], -a)
+                      for j, a in enumerate(row[:-1]) if a < 0}
+            least = min(ratios.values())
+            ties = [j for j, v in ratios.items() if v == least]
+            assert col == ties[0]
+            tied.append(len(ties) > 1)
+        pivots.append(col)
+        assert len(pivots) < 2000
+        return pivot(tableau, zrow, basis, r, col)
+
+    monkeypatch.setattr(simplex, "_pivot_full", checked)
+    rng = random.Random(47)
+    for trial in range(40):
+        n = rng.choice((3, 4, 5))
+        hidden = [([rng.randint(-2, 2) for _ in range(n)], rng.choice((GE, LE)),
+                   rng.randint(-1, 2)) for _ in range(rng.randint(2, 8))]
+        c = [0] * n if trial % 2 else [rng.randint(0, 1) for _ in range(n)]
+        res = lp_solve(LinearProgram(c, [], [(0, 1)] * n,
+                                     separate=_hidden_row_oracle(hidden, True)))
+        full = lp_solve(LinearProgram(c, hidden, [(0, 1)] * n))
+        assert res.status == full.status
+        if res.status == OPTIMAL:
+            assert res.optimal_value == full.optimal_value
+            assert all(_row_holds(row, rel, b, res.solution)
+                       for row, rel, b in hidden)
+    assert sum(tied) >= 20
