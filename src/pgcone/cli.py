@@ -114,7 +114,7 @@ def cmd_cone_member(args):
     _, H = _plane_and_matrix(args)
     omega = _load_vector(args.vector)
     ok, violated = is_member(H, omega)
-    print("member" if ok else f"not a member; violates {violated.label}")
+    print("member" if ok else f"not a member; violates {violated}")
     return 0
 
 

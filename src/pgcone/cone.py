@@ -1,13 +1,11 @@
-"""The fundamental cone of a parity-check matrix: constraint generation,
-exact membership and minimality certification via the rank of tight
-constraints (one integer scan gives both membership and the tight set),
-type vectors, stopping sets and mod-2 reduction."""
+"""The fundamental cone of a parity-check matrix, each constraint named by
+its label; exact membership and minimality certification via the rank of
+tight constraints (one integer scan, check by check, gives both membership
+and the tight set), type vectors, stopping sets and mod-2 reduction."""
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import mul
 
 from .errors import LengthMismatch, NonInteger, NotInCone
 from .plane import ParityCheck
@@ -128,48 +126,26 @@ class TypeVector:
         return f"TypeVector(n={self.n}, t_0={self.t0}, {items})"
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """One inequality a . omega >= 0 with {-1, 0, +1} coefficients."""
-    label: tuple          # ("cone", j, i) or ("nonneg", i)
-    coeffs: tuple
+def _row(H: ParityCheck, label):
+    """Dense int row of one constraint: ("cone", j, i) is
+    sum(omega[I_j]) - 2 omega_i >= 0, ("nonneg", i) is omega_i >= 0."""
+    coeffs = [0] * H.n_cols
+    if label[0] == "cone":
+        for k in H.rows[label[1]]:
+            coeffs[k] = 1
+        coeffs[label[2]] = -1
+    else:
+        coeffs[label[1]] = 1
+    return tuple(coeffs)
 
 
-class ConstraintSet:
-    def __init__(self, cone_rows, nonneg_rows, n):
-        self.cone_rows = tuple(cone_rows)
-        self.nonneg_rows = tuple(nonneg_rows)
-        self.n = n
-
-    def __len__(self):
-        return len(self.cone_rows) + len(self.nonneg_rows)
-
-    def __iter__(self):
-        yield from self.cone_rows
-        yield from self.nonneg_rows
-
-
-def cone_constraints(H: ParityCheck) -> ConstraintSet:
-    """One row per (check j, pivot i in I_j), plus unit nonnegativity rows."""
-    n = H.n_cols
-    cone_rows = []
-    for j, support in enumerate(H.rows):
-        for i in support:
-            coeffs = [0] * n
-            for i2 in support:
-                coeffs[i2] = 1
-            coeffs[i] = -1
-            cone_rows.append(Constraint(("cone", j, i), tuple(coeffs)))
-    nonneg = []
-    for i in range(n):
-        coeffs = [0] * n
-        coeffs[i] = 1
-        nonneg.append(Constraint(("nonneg", i), tuple(coeffs)))
-    return ConstraintSet(cone_rows, nonneg, n)
-
-
-def _dot(coeffs, vec):
-    return sum(map(mul, coeffs, vec))
+def cone_constraints(H: ParityCheck) -> dict:
+    """Dense int rows of every constraint a . omega >= 0, keyed by label in
+    scan order: ("cone", j, i) for check j and pivot i in I_j in (j, i)
+    order, then ("nonneg", i)."""
+    labels = [("cone", j, i) for j, support in enumerate(H.rows)
+              for i in support] + [("nonneg", i) for i in range(H.n_cols)]
+    return {label: _row(H, label) for label in labels}
 
 
 def _ints(omega):
@@ -181,26 +157,37 @@ def _ints(omega):
     return _scaled_to_ints(_vec(omega))
 
 
-def _scan(H: ParityCheck, omega, constraints):
-    """One pass at omega, as ints: (first violated constraint, None) for a
-    non-member, else (None, tight coefficient rows)."""
-    ints = _ints(omega)
-    if len(ints) != H.n_cols:
-        raise LengthMismatch(f"expected length {H.n_cols}, got {len(ints)}")
-    cs = constraints if constraints is not None else cone_constraints(H)
+def _scan(H: ParityCheck, omega):
+    """One pass at omega, as ints, check by check: sum x[I_j] once, then
+    test the value sum - 2 x_i of each pivot i, then x_i >= 0. Returns
+    (label of the first violated constraint, None) for a non-member, else
+    (None, labels of the tight constraints)."""
+    x = _ints(omega)
+    if len(x) != H.n_cols:
+        raise LengthMismatch(f"expected length {H.n_cols}, got {len(x)}")
     tight = []
-    for con in cs:
-        value = _dot(con.coeffs, ints)
-        if value < 0:
-            return con, None
-        if value == 0:
-            tight.append(con.coeffs)
+    for j, support in enumerate(H.rows):
+        vals = [x[i] for i in support]
+        s = sum(vals)
+        for i, v in zip(support, vals):
+            value = s - 2 * v
+            if value <= 0:
+                if value:
+                    return ("cone", j, i), None
+                tight.append(("cone", j, i))
+    for i, v in enumerate(x):
+        if v <= 0:
+            if v:
+                return ("nonneg", i), None
+            tight.append(("nonneg", i))
     return None, tight
 
 
 def is_member(H: ParityCheck, omega, constraints=None):
-    """Exact membership; returns (bool, first violated constraint or None)."""
-    violated, _ = _scan(H, omega, constraints)
+    """Exact membership; returns (True, None) or (False, label of the first
+    violated constraint). ``constraints`` is ignored; it is accepted only
+    because older callers pass ``cone_constraints(H)`` there."""
+    violated, _ = _scan(H, omega)
     return violated is None, violated
 
 
@@ -254,21 +241,22 @@ def integer_rank(rows):
     return rank
 
 
-def active_rank(H: ParityCheck, omega, constraints=None) -> int:
+def active_rank(H: ParityCheck, omega) -> int:
     """Rank of the tight-constraint coefficient matrix at omega; one scan
-    gives both membership (NotInCone otherwise) and the tight set."""
-    violated, tight = _scan(H, omega, constraints)
+    gives both membership (NotInCone otherwise) and the tight set, whose
+    dense rows are built only here."""
+    violated, tight = _scan(H, omega)
     if violated is not None:
-        raise NotInCone(f"vector violates {violated.label}")
-    return integer_rank(tight)
+        raise NotInCone(f"vector violates {violated}")
+    return integer_rank([_row(H, label) for label in tight])
 
 
-def is_minimal(H: ParityCheck, omega, constraints=None) -> bool:
+def is_minimal(H: ParityCheck, omega) -> bool:
     """Extreme ray of the cone: nonzero with tight rank n - 1."""
     ints = _ints(omega)
     if not any(ints):
         return False
-    return active_rank(H, ints, constraints) == H.n_cols - 1
+    return active_rank(H, ints) == H.n_cols - 1
 
 
 def type_of(omega, n=None) -> TypeVector:

@@ -8,8 +8,7 @@ from fractions import Fraction
 from itertools import combinations, count
 from math import inf
 
-from .cone import (PseudoCodeword, _vec, active_rank, cone_constraints,
-                   is_member, type_of)
+from .cone import PseudoCodeword, _vec, active_rank, is_member, type_of
 from .errors import NoSuchPair, NotInCone, NoZeroLinePair, SearchExhausted
 from .plane import Plane, find_hyperovals, incidence_matrix, min_weight_codewords
 from .weights import awgnc_pw, bec_pw, bsc_pw, conjectured_wp
@@ -87,21 +86,22 @@ def _overlapping_pairs(p: Plane, overlap, pool=None):
 
 def max_alpha(H, base, positions):
     """Supremum alpha >= 0 such that base + alpha * indicator(positions)
-    stays in the cone; exact slack/coefficient ray-shooting. Returns
-    math.inf when no constraint involves the change."""
+    stays in the cone; exact slack/step ray-shooting. The cone row (j, i)
+    changes by step |P & I_j| - 2 [i in P], which is negative only when i
+    is the one position on I_j, and then it is -1; its slack is
+    sum(base[I_j]) - 2 base_i. Returns math.inf when no row decreases."""
     base_vec = _vec(base)
-    cs = cone_constraints(H)
-    ok, violated = is_member(H, base_vec, cs)
+    ok, violated = is_member(H, base_vec)
     if not ok:
-        raise NotInCone(f"base violates {violated.label}")
+        raise NotInCone(f"base violates {violated}")
     positions = set(positions)
     best = inf
-    for con in cs.cone_rows:
-        step = sum(con.coeffs[i] for i in positions)
-        if step >= 0:
-            continue
-        slack = sum(c * x for c, x in zip(con.coeffs, base_vec) if c)
-        best = min(best, Fraction(slack, -step))
+    for support in H.rows:
+        hit = positions.intersection(support)
+        if len(hit) == 1:
+            (i,) = hit
+            slack = sum(base_vec[k] for k in support) - 2 * base_vec[i]
+            best = min(best, slack)
     return best
 
 
@@ -138,7 +138,6 @@ def _switch_search(p: Plane, pool, admissible):
     minimal."""
     s = p.q.bit_length() - 1
     H = incidence_matrix(p)
-    cs = cone_constraints(H)
     for x1, x2 in _overlapping_pairs(p, (p.q + 2) // 2, pool=pool):
         omega_t = tuple(Fraction(a + b) for a, b in zip(x1, x2))
         zeros = [i for i, x in enumerate(omega_t) if x == 0]
@@ -146,8 +145,8 @@ def _switch_search(p: Plane, pool, admissible):
             if not admissible(switch):
                 continue
             cand = _switched(omega_t, switch, 2)
-            if is_member(H, cand, cs)[0] and \
-                    active_rank(H, cand, cs) == H.n_cols - 1:
+            if is_member(H, cand)[0] and \
+                    active_rank(H, cand) == H.n_cols - 1:
                 yield x1, x2, omega_t, switch, cand
 
 
@@ -208,7 +207,6 @@ def ex5_procedure(p: Plane, pool=None) -> ConstructionTrace:
     if p.q != 4:
         raise ValueError("the procedure is specific to q = 4")
     H = incidence_matrix(p)
-    cs = cone_constraints(H)
     found_zero_lines = False
     for x1, x2 in _overlapping_pairs(p, 2, pool=pool):
         omega_t = tuple(Fraction(a + b) for a, b in zip(x1, x2))
@@ -226,11 +224,11 @@ def ex5_procedure(p: Plane, pool=None) -> ConstructionTrace:
                     if alpha is inf or alpha <= 0:
                         continue
                     cand = _switched(omega_t, (p0, pt1, pt2), alpha)
-                    if active_rank(H, cand, cs) != p.n - 1:
+                    if active_rank(H, cand) != p.n - 1:
                         continue
                     return _trace(
                         x1, x2, 2, {p0: alpha, pt1: alpha, pt2: alpha},
-                        omega_t, cand, active_rank(H, omega_t, cs),
+                        omega_t, cand, active_rank(H, omega_t),
                         notes=f"zero lines {l1},{l2}; intersection {p0}; "
                               f"max alpha {alpha}")
     if not found_zero_lines:

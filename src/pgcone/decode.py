@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .cone import PseudoCodeword, _scaled_to_ints, cone_constraints
+from .cone import PseudoCodeword, _row, _scaled_to_ints
 from .errors import EmptyFlips, LpNotOptimal, TooManyPatterns
 from .plane import ParityCheck
 from .simplex import EQ, GE, LE, OPTIMAL, LinearProgram, lp_solve
@@ -73,13 +73,11 @@ def zero_optimal(H: ParityCheck, llr: LLRVector, constraints=None) -> DecodeOutc
     omega on I_j, and only when 2 omega_i > sum(omega_{I_j}). ``lp_solve``
     appends those rows and re-enters by dual simplex from the last basis,
     until no cone row is violated; the optimum is then feasible for the
-    full cone LP, so it is that LP's optimum. ``constraints`` is a
-    precomputed ``cone_constraints(H)``; its cone rows, looked up by label,
-    are the rows the oracle returns.
+    full cone LP, so it is that LP's optimum. Each cut's dense row is built
+    when the oracle returns it. ``constraints`` is ignored; it is accepted
+    only because older callers pass ``cone_constraints(H)`` there.
     """
     n = H.n_cols
-    cs = constraints if constraints is not None else cone_constraints(H)
-    pool = {con.label[1:]: con.coeffs for con in cs.cone_rows}
 
     def separate(solution):
         x = _scaled_to_ints(solution)
@@ -87,7 +85,7 @@ def zero_optimal(H: ParityCheck, llr: LLRVector, constraints=None) -> DecodeOutc
         for j, support in enumerate(H.rows):
             i = max(support, key=x.__getitem__)
             if 2 * x[i] > sum(x[k] for k in support):
-                cuts.append((pool[j, i], GE, 0))
+                cuts.append((_row(H, ("cone", j, i)), GE, 0))
         return cuts
 
     res = lp_solve(LinearProgram(objective=list(llr.entries),
@@ -109,6 +107,8 @@ def canonical_completion(H: ParityCheck, flips, q) -> PseudoCodeword:
     if not flips:
         raise EmptyFlips("canonical completion needs at least one flip")
     n = H.n_cols
+    if not all(0 <= i < n for i in flips):
+        raise ValueError("flip positions out of range")
     inv_q = Fraction(1, q)
     return PseudoCodeword(tuple(
         Fraction(1) if i in flips else inv_q for i in range(n)))
@@ -171,7 +171,6 @@ def bsc_sweep(H: ParityCheck, e, L=1, mode="exhaustive", samples=None,
               seed=None) -> SweepStats:
     """Classify flip patterns of weight e via zero_optimal."""
     n = H.n_cols
-    cs = cone_constraints(H)
     if mode == "exhaustive":
         if comb(n, e) > 10 ** 6:
             raise TooManyPatterns(f"C({n},{e}) exceeds the exhaustive limit")
@@ -187,7 +186,7 @@ def bsc_sweep(H: ParityCheck, e, L=1, mode="exhaustive", samples=None,
     counts = {ZERO_STRICTLY_OPTIMAL: 0, TIE: 0, FAILURE: 0}
     total = 0
     for flips in patterns:
-        outcome = zero_optimal(H, llr_from_flips(n, flips, L), cs)
+        outcome = zero_optimal(H, llr_from_flips(n, flips, L))
         counts[outcome.status] += 1
         total += 1
     return SweepStats(e=e, patterns=total,

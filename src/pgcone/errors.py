@@ -57,6 +57,10 @@ class IncompleteRaySet(PgconeError):
     pass
 
 
+class MalformedRaySet(PgconeError):
+    """A ray-set file lacks its header fields or a ray."""
+
+
 class MatrixMismatch(PgconeError):
     """A ray set was built for another parity-check matrix."""
 

@@ -9,11 +9,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 from . import weights
 from .cone import (PseudoCodeword, _ints, cone_constraints, integer_rank,
                    is_member, is_minimal, is_stopping_set)
-from .errors import LengthMismatch
+from .errors import LengthMismatch, MalformedRaySet
 from .plane import ParityCheck
 
 
@@ -52,14 +53,20 @@ class RaySet:
     @classmethod
     def load_jsonl(cls, path):
         with open(path) as fh:
-            header = json.loads(fh.readline())
-            rays = [PseudoCodeword(json.loads(line)["ray"]) for line in fh if line.strip()]
+            try:
+                header = json.loads(fh.readline())
+                fields = {k: header[k] for k in ("h_matrix_id", "complete", "n")}
+                rays = [PseudoCodeword(json.loads(line)["ray"])
+                        for line in fh if line.strip()]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise MalformedRaySet(
+                    f"{path}: malformed ray-set file "
+                    f"({type(exc).__name__}: {exc})") from exc
         for r in rays:
-            if r.n != header["n"]:
+            if r.n != fields["n"]:
                 raise LengthMismatch(
-                    f"{path}: header n = {header['n']}, ray of length {r.n}")
-        return cls(rays=tuple(rays), h_matrix_id=header["h_matrix_id"],
-                   complete=header["complete"], n=header["n"])
+                    f"{path}: header n = {fields['n']}, ray of length {r.n}")
+        return cls(rays=tuple(rays), **fields)
 
 
 @dataclass
@@ -68,10 +75,10 @@ class Budget:
     max_rays: int = None
 
 
-def insertion_order(constraint_set, seed=None):
+def insertion_order(H: ParityCheck, seed=None):
     """Order of cone-constraint insertion; default (j, i) lexicographic,
     a seed selects a reproducible shuffle for cross-validation."""
-    order = list(range(len(constraint_set.cone_rows)))
+    order = list(range(sum(map(len, H.rows))))
     if seed is not None:
         random.Random(seed).shuffle(order)
     return order
@@ -109,9 +116,8 @@ def enumerate_rays(H: ParityCheck, budget: Budget = None, seed=None) -> RaySet:
     and minimality, whether the run completed or not.
     """
     n = H.n_cols
-    cs = cone_constraints(H)
-    processed = [con.coeffs for con in cs.nonneg_rows]
-    processed += [cs.cone_rows[k].coeffs for k in insertion_order(cs, seed)]
+    dense = list(cone_constraints(H).values())
+    processed = dense[-n:] + [dense[k] for k in insertion_order(H, seed)]
     full = (1 << n) - 1
     rays = {_unit(n, i): full ^ (1 << i) for i in range(n)}
     max_seconds = budget.max_seconds if budget is not None else None
@@ -171,7 +177,7 @@ def enumerate_rays(H: ParityCheck, budget: Budget = None, seed=None) -> RaySet:
             break
 
     result = tuple(r for r in rays
-                   if is_member(H, r, cs)[0] and is_minimal(H, r, cs))
+                   if is_member(H, r)[0] and is_minimal(H, r))
     return RaySet(rays=result, h_matrix_id=H.matrix_id(),
                   complete=complete, n=n)
 
@@ -205,7 +211,8 @@ def _unit(n, i):
 def support_guided_rays(H: ParityCheck) -> RaySet:
     """Independent exhaustive oracle: for every stopping-set support, find all
     strictly positive nullspace generators of (|S| - 1)-rank systems of
-    restricted tight cone constraints, then certify each candidate. A
+    restricted tight cone constraints, drop the repeats (a degenerate ray
+    is the generator of many subsets), then certify each candidate. A
     singleton {i} is a stopping set exactly when no check touches column i;
     its only generator is the unit ray e_i.
 
@@ -214,26 +221,23 @@ def support_guided_rays(H: ParityCheck) -> RaySet:
     n = H.n_cols
     if n > 12:
         raise ValueError("oracle enumeration is limited to n <= 12")
-    cs = cone_constraints(H)
-    cone_rows = [con.coeffs for con in cs.cone_rows]
-    found = {}
+    cone_rows = [row for label, row in cone_constraints(H).items()
+                 if label[0] == "cone"]
+    found = set()
     for size in range(1, n + 1):
         for S in combinations(range(n), size):
             if not is_stopping_set(H, S):
                 continue
             restricted = sorted({tuple(a[i] for i in S) for a in cone_rows})
-            k = len(S)
-            for vec in _rank_deficient_solutions(restricted, k):
-                if any(x <= 0 for x in vec):
-                    continue
-                full = [Fraction(0)] * n
+            gens = _rank_deficient_solutions(restricted, size)
+            for vec in {v for v in gens if min(v) > 0}:
+                full = [0] * n
                 for i, x in zip(S, vec):
                     full[i] = x
-                ok, _ = is_member(H, full, cs)
-                if ok and is_minimal(H, full, cs):
-                    found.setdefault(PseudoCodeword(full).canonical, None)
-    rays = tuple(PseudoCodeword(c) for c in sorted(found))
-    return RaySet(rays=rays, h_matrix_id=H.matrix_id(), complete=True, n=n)
+                if is_member(H, full)[0] and is_minimal(H, full):
+                    found.add(tuple(full))
+    return RaySet(rays=tuple(found), h_matrix_id=H.matrix_id(),
+                  complete=True, n=n)
 
 
 def _rank_deficient_solutions(rows, k):
@@ -267,26 +271,27 @@ def _rank_deficient_solutions(rows, k):
 
 
 def _nullspace_from_echelon(echelon, k):
-    """Nullspace generator from k-1 echelon rows with distinct pivots.
+    """Primitive integer nullspace generator, first nonzero entry positive,
+    from k-1 echelon rows with distinct pivots.
 
     Row m was reduced against rows 0..m-1 only, so in reverse order each
     row's non-pivot columns are already solved; back-substitution suffices.
+    It stays in integers: x is the solution times a common denominator,
+    and solving p x_pc + s = 0 scales x by p / gcd(p, s).
     """
     pivot_cols = {pc for pc, _ in echelon}
-    free = next(c for c in range(k) if c not in pivot_cols)
-    x = [None] * k
-    x[free] = Fraction(1)
+    x = [0] * k
+    x[next(c for c in range(k) if c not in pivot_cols)] = 1
     for pc, row in reversed(echelon):
-        s = Fraction(0)
-        for c in range(k):
-            if c != pc and row[c] and x[c] is not None:
-                s += row[c] * x[c]
-        x[pc] = -s / row[pc]
-    vec = [v if v is not None else Fraction(0) for v in x]
-    lead = next((v for v in vec if v != 0), None)
-    if lead is not None and lead < 0:
-        vec = [-v for v in vec]
-    return vec
+        s = sum(map(mul, row, x))
+        if s:
+            g = gcd(row[pc], s)
+            x = [v * (row[pc] // g) for v in x]
+            x[pc] = -s // g
+    x = _reduce(x)
+    if next(v for v in x if v) < 0:
+        x = tuple(-v for v in x)
+    return x
 
 
 def histogram(rs: RaySet, kind: str, bin_width=None):

@@ -8,8 +8,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from pgcone.cone import (cone_constraints, is_member, is_minimal,
-                         active_rank, type_of)
+from pgcone.cone import is_member, is_minimal, active_rank, type_of
 from pgcone.construct import ex3_minimal_pcw, ex5_procedure
 from pgcone.decode import (FAILURE, ZERO_STRICTLY_OPTIMAL, bsc_sweep,
                            canonical_completion, feldman_lp_decode,
@@ -151,9 +150,8 @@ def test_criterion_08_bound_dominance(H2, H4, rays2, codewords4):
     pools = {2: (H2, [list(r.entries) for r in rays2]),
              4: (H4, [list(w) for w in codewords4])}
     for q, (H, pool) in pools.items():
-        cs = cone_constraints(H)
         for vec in _random_members(pool, 1000, seed=q):
-            assert is_member(H, vec, cs)[0]
+            assert is_member(H, vec)[0]
             target = awgnc_pw(vec)
             t = type_of(vec)
             one = sum(vec)
@@ -191,11 +189,10 @@ def test_criterion_09_effectiveness(rays2):
 def test_criterion_10_cross_module_consistency(H2):
     """Polytope LP decoding agrees with the cone classification on every
     flip pattern of weight at most 3."""
-    cs = cone_constraints(H2)
     for e in range(4):
         for flips in combinations(range(7), e):
             llr = llr_from_flips(7, flips, 1)
-            outcome = zero_optimal(H2, llr, cs)
+            outcome = zero_optimal(H2, llr)
             sol, integral = feldman_lp_decode(H2, llr)
             obj = sum(f * l for f, l in zip(sol, llr.entries))
             zero_polytope_optimal = obj == 0

@@ -173,6 +173,24 @@ def test_input_error_exit_code(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cone_lines_pinned(tmp_path, capsys):
+    assert run(tmp_path, "cone", "member", "--q", "2",
+               "--vector", "1,0,0,0,0,0,0") == 0
+    assert capsys.readouterr().out == \
+        "not a member; violates ('cone', 3, 0)\n"
+    assert run(tmp_path, "cone", "minimal", "--q", "2",
+               "--vector", "1,0,1,1,1,0,0") == 0
+    assert capsys.readouterr().out == "active rank 6 of 6; minimal\n"
+
+
+def test_malformed_rayset_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"h_matrix_id": "x", "complete": true}\n')
+    assert run(tmp_path, "effective", "awgnc", "--rayset", str(bad)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.jsonl" in err
+
+
 def test_usage_error_exit_code(tmp_path):
     with pytest.raises(SystemExit) as exc:
         dispatch(["plane", "build"])  # missing required --q

@@ -21,10 +21,11 @@ def test_constraint_counts(H2, H4, fixture_h):
 
 def test_constraint_coefficients(H2):
     cs = cone_constraints(H2)
-    for con in cs.cone_rows:
-        assert sorted(con.coeffs, reverse=True) == [1, 1, 0, 0, 0, 0, -1]
-    for con in cs.nonneg_rows:
-        assert sum(con.coeffs) == 1 and max(con.coeffs) == 1
+    for label, coeffs in cs.items():
+        if label[0] == "cone":
+            assert sorted(coeffs, reverse=True) == [1, 1, 0, 0, 0, 0, -1]
+        else:
+            assert sum(coeffs) == 1 and max(coeffs) == 1
 
 
 def test_codewords_are_members(H2, codewords2):
@@ -37,7 +38,7 @@ def test_unit_vector_not_member(H2):
     e0 = [1, 0, 0, 0, 0, 0, 0]
     ok, violated = is_member(H2, e0)
     assert not ok
-    assert violated.label[0] == "cone"
+    assert violated[0] == "cone"
 
 
 def test_membership_reports_first_violation_lexicographic(H2):
@@ -45,7 +46,7 @@ def test_membership_reports_first_violation_lexicographic(H2):
     # first line through it.
     e0 = [1, 0, 0, 0, 0, 0, 0]
     _, violated = is_member(H2, e0)
-    j, i = violated.label[1], violated.label[2]
+    j, i = violated[1], violated[2]
     assert i == 0
     assert j == min(H2.cols[0])
 
@@ -240,10 +241,10 @@ def _three_forms(vec):
     return forms
 
 
-def _answers(H, omega, cs):
-    ok, violated = is_member(H, omega, cs)
+def _answers(H, omega):
+    ok, violated = is_member(H, omega)
     try:
-        rank, minimal = active_rank(H, omega, cs), is_minimal(H, omega, cs)
+        rank, minimal = active_rank(H, omega), is_minimal(H, omega)
     except NotInCone:
         rank = minimal = "NotInCone"
     return ok, violated, rank, minimal
@@ -264,8 +265,7 @@ def test_int_fraction_and_pseudocodeword_inputs_agree(H2, H4, rays2):
     negative[negative.index(0)] = -1
     cases.append((H2, negative, False))
     for H, vec, member in cases:
-        cs = cone_constraints(H)
-        answers = [_answers(H, form, cs) for form in _three_forms(vec)]
+        answers = [_answers(H, form) for form in _three_forms(vec)]
         assert all(a == answers[0] for a in answers), vec
         ok, violated, rank, minimal = answers[0]
         assert ok == member and (violated is None) == member
@@ -273,3 +273,56 @@ def test_int_fraction_and_pseudocodeword_inputs_agree(H2, H4, rays2):
             assert rank == H.n_cols - 1 and minimal is True
         else:
             assert rank == minimal == "NotInCone"
+
+
+def _dense_reference(H, omega):
+    """Every dense row of cone_constraints(H), in order, dotted with omega
+    in Fractions: (first violated label, None) or (None, rank of the tight
+    rows by integer_rank, itself checked against Fraction elimination)."""
+    x = [Fraction(v) for v in omega]
+    tight = []
+    for label, row in cone_constraints(H).items():
+        value = sum(a * b for a, b in zip(row, x) if a)
+        if value < 0:
+            return label, None
+        if value == 0:
+            tight.append(row)
+    return None, integer_rank(tight)
+
+
+def _random_vector(rng, n, pool, kind):
+    if kind == 0:
+        return [rng.choice((0, 0, 1, 2, 3)) for _ in range(n)]
+    if kind == 1:
+        return [Fraction(rng.choice((0, 0, 1, 2, 5)), rng.randint(1, 3))
+                for _ in range(n)]
+    if kind == 4:
+        vec = [rng.randint(1, 3) for _ in range(n)]
+        vec[rng.randrange(n)] = -rng.randint(1, 2)
+        return vec
+    vec = [0] * n
+    for _ in range(rng.randint(1, 3)):
+        c = rng.randint(1, 3) if kind == 2 else Fraction(rng.randint(1, 6),
+                                                         rng.randint(1, 4))
+        vec = [a + c * b for a, b in zip(vec, rng.choice(pool))]
+    return vec
+
+
+def test_label_scan_matches_dense_reference(H2, H4, fixture_h, codewords2,
+                                            codewords4):
+    rng = random.Random(29)
+    seen = {"member": 0, "cone": 0, "nonneg": 0}
+    for H, pool in ((H2, codewords2), (H4, codewords4),
+                    (fixture_h, [(1, 1, 0), (0, 1, 1), (1, 0, 1)])):
+        for k in range(100):
+            vec = _random_vector(rng, H.n_cols, pool, k % 5)
+            label, rank = _dense_reference(H, vec)
+            assert is_member(H, vec) == (label is None, label), vec
+            if label is None:
+                seen["member"] += 1
+                assert active_rank(H, vec) == rank, vec
+            else:
+                seen[label[0]] += 1
+                with pytest.raises(NotInCone):
+                    active_rank(H, vec)
+    assert min(seen.values()) >= 10, seen

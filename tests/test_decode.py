@@ -95,7 +95,9 @@ def test_lp_status_is_checked(H2, monkeypatch):
 def _full_cone_value(H, llr):
     """Reference: the cone-slice LP with every cone row up front."""
     n = H.n_cols
-    rows = [(list(con.coeffs), GE, 0) for con in cone_constraints(H).cone_rows]
+    rows = [(list(coeffs), GE, 0)
+            for label, coeffs in cone_constraints(H).items()
+            if label[0] == "cone"]
     rows.append(([1] * n, EQ, 1))
     res = lp_solve(LinearProgram(list(llr.entries), rows, [(0, None)] * n))
     assert res.status == OPTIMAL
@@ -118,10 +120,10 @@ def _full_polytope_value(H, llr):
     return res.optimal_value
 
 
-def _assert_matches_full_lp(H, flips, cs):
+def _assert_matches_full_lp(H, flips):
     llr = llr_from_flips(H.n_cols, flips, 1)
     value = _full_cone_value(H, llr)
-    out = zero_optimal(H, llr, cs)
+    out = zero_optimal(H, llr)
     assert out.objective == value
     expected = (ZERO_STRICTLY_OPTIMAL if value > 0
                 else decode.TIE if value == 0 else FAILURE)
@@ -129,7 +131,7 @@ def _assert_matches_full_lp(H, flips, cs):
     if expected != ZERO_STRICTLY_OPTIMAL:
         w = out.certificate.entries
         assert sum(w) == 1
-        assert is_member(H, w, cs)[0]
+        assert is_member(H, w)[0]
         assert sum(a * b for a, b in zip(w, llr.entries)) == value
     sol, integral = feldman_lp_decode(H, llr)
     assert sum(f * l for f, l in zip(sol, llr.entries)) \
@@ -139,18 +141,16 @@ def _assert_matches_full_lp(H, flips, cs):
 
 
 def test_cutting_planes_match_full_lp_q2(H2):
-    cs = cone_constraints(H2)
     patterns = [flips for e in range(4) for flips in combinations(range(7), e)]
     assert len(patterns) == 64
     for flips in patterns:
-        _assert_matches_full_lp(H2, flips, cs)
+        _assert_matches_full_lp(H2, flips)
 
 
 def test_cutting_planes_match_full_lp_q4(H4):
-    cs = cone_constraints(H4)
     rng = random.Random(5)
     for e in (1, 1, 2, 2, 3, 3):
-        _assert_matches_full_lp(H4, sorted(rng.sample(range(21), e)), cs)
+        _assert_matches_full_lp(H4, sorted(rng.sample(range(21), e)))
 
 
 def test_odd_set_separation_is_exact():
@@ -203,6 +203,12 @@ def test_canonical_completion_empty_rejected(H2):
         canonical_completion(H2, set(), 2)
 
 
+@pytest.mark.parametrize("flips", [[100], [0, 7], [-1]])
+def test_canonical_completion_rejects_out_of_range_flips(H2, flips):
+    with pytest.raises(ValueError, match="out of range"):
+        canonical_completion(H2, flips, 2)
+
+
 def test_feldman_all_positive(H2):
     sol, integral = feldman_lp_decode(H2, llr_from_flips(7, set(), 1))
     assert integral and all(x == 0 for x in sol)
@@ -220,12 +226,11 @@ def test_feldman_agrees_with_zero_optimal_at_q8(H8):
     # polytope decoder returns the all-zero integral word exactly when the
     # cone LP finds the zero codeword strictly optimal.
     rng = random.Random(3)
-    cs = cone_constraints(H8)
     for e in (1, 2, 3):
         for _ in range(2):
             llr = llr_from_flips(H8.n_cols, rng.sample(range(H8.n_cols), e), 1)
             sol, integral = feldman_lp_decode(H8, llr)
-            strict = zero_optimal(H8, llr, cs).status == ZERO_STRICTLY_OPTIMAL
+            strict = zero_optimal(H8, llr).status == ZERO_STRICTLY_OPTIMAL
             assert (integral and not any(sol)) == strict
 
 
@@ -236,11 +241,10 @@ def test_zero_optimal_q8_weight_four(H8):
     for e in (1, 2, 3):
         for _ in range(4):
             rng.sample(range(H8.n_cols), e)
-    cs = cone_constraints(H8)
     objectives = []
     for _ in range(4):
         flips = sorted(rng.sample(range(H8.n_cols), 4))
-        out = zero_optimal(H8, llr_from_flips(H8.n_cols, flips, 1), cs)
+        out = zero_optimal(H8, llr_from_flips(H8.n_cols, flips, 1))
         assert out.status == ZERO_STRICTLY_OPTIMAL
         objectives.append(out.objective)
     assert objectives == [Fraction(1, 5), Fraction(4, 15), Fraction(1, 5),

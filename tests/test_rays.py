@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from pgcone.cone import is_member, is_minimal
-from pgcone.errors import LengthMismatch
+from pgcone.errors import LengthMismatch, MalformedRaySet
 from pgcone.plane import ParityCheck
 from pgcone.rays import (Budget, RaySet, enumerate_rays, histogram,
                          histogram_csv, insertion_order, support_guided_rays)
@@ -52,13 +52,11 @@ def test_insertion_order_invariance(H2, rays2):
 
 
 def test_insertion_order_shapes(H2):
-    from pgcone.cone import cone_constraints
-    cs = cone_constraints(H2)
-    default = insertion_order(cs)
+    default = insertion_order(H2)
     assert default == list(range(21))
-    seeded = insertion_order(cs, seed=5)
+    seeded = insertion_order(H2, seed=5)
     assert sorted(seeded) == default
-    assert insertion_order(cs, seed=5) == seeded
+    assert insertion_order(H2, seed=5) == seeded
 
 
 def test_cyclic_shift_closure(rays2):
@@ -158,6 +156,20 @@ def test_jsonl_rejects_ray_length_mismatch(tmp_path, rays2):
     lines[1] = json.dumps({"ray": [1, 1, 1, 1]})
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(LengthMismatch):
+        RaySet.load_jsonl(path)
+
+
+@pytest.mark.parametrize("lines", [
+    ['{"h_matrix_id": "x", "complete": true}', '{"ray": [1]}'],
+    ['{"h_matrix_id": "x", "complete": true, "n": 1}', '{"rays": [1]}'],
+    ['[1, 1]', '{"ray": [1]}'],
+    ['{"h_matrix_id": "x", "complete": true, "n": 1}', '{"ray": 1}'],
+    ['not json'],
+])
+def test_jsonl_rejects_malformed_files(tmp_path, lines):
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedRaySet, match="bad.jsonl"):
         RaySet.load_jsonl(path)
 
 

@@ -251,8 +251,9 @@ def test_duality_bound_on_cone_slice(H2):
     from pgcone.rays import enumerate_rays
     rng = random.Random(23)
     rays = [r.entries for r in enumerate_rays(H2)]
-    cs = cone_constraints(H2)
-    rows = [(list(con.coeffs), GE, 0) for con in cs.cone_rows]
+    rows = [(list(coeffs), GE, 0)
+            for label, coeffs in cone_constraints(H2).items()
+            if label[0] == "cone"]
     rows.append(([1] * 7, EQ, 1))
     for _ in range(5):
         c = [Fraction(rng.randint(-3, 3)) for _ in range(7)]
