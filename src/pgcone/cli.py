@@ -201,11 +201,8 @@ def cmd_decode_zero_opt(args):
 
 def cmd_decode_sweep(args):
     _, H = _plane_and_matrix(args)
-    if args.samples:
-        stats = decode.bsc_sweep(H, args.e, args.L, mode="sampled",
-                                 samples=args.samples, seed=args.seed)
-    else:
-        stats = decode.bsc_sweep(H, args.e, args.L)
+    stats = decode.bsc_sweep(H, args.e, args.L, samples=args.samples,
+                             seed=args.seed)
     payload = "e,patterns,corrected,ties,failures\n" + stats.csv_row() + "\n"
     _write(args, f"sweep_q{args.q}_e{args.e}.csv", payload)
     print(payload.strip().splitlines()[-1])

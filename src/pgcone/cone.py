@@ -1,11 +1,18 @@
 """The fundamental cone of a parity-check matrix, each constraint named by
 its label; exact membership and minimality certification via the rank of
 tight constraints (one integer scan, check by check, gives both membership
-and the tight set), type vectors, stopping sets and mod-2 reduction."""
+and the tight set), type vectors, stopping sets and mod-2 reduction.
+
+It also holds the package's one integer kernel: scaling a Fraction vector
+to ints, gcd reduction to a primitive vector, the dot product, the
+fraction-free row elimination shared by the simplex tableau and the
+oracle's echelon, integer back-substitution for a nullspace generator,
+and integer rank."""
 
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .errors import LengthMismatch, NonInteger, NotInCone
 from .plane import ParityCheck
@@ -23,10 +30,58 @@ def _scaled_to_ints(vec):
 
     The scale is positive, so every sign and every zero of a dot product
     with an integer row is unchanged."""
-    denom_lcm = 1
-    for x in vec:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    return [x.numerator * (denom_lcm // x.denominator) for x in vec]
+    m = lcm(*[x.denominator for x in vec])
+    return [x.numerator * (m // x.denominator) for x in vec]
+
+
+def _primitive(vec):
+    """The int vector divided by the gcd of its entries, as a tuple; the
+    divisor is positive, so signs are kept, and all-zero stays zero."""
+    g = gcd(*vec)
+    return tuple(v // g for v in vec) if g > 1 else tuple(vec)
+
+
+def _dot(a, b):
+    return sum(map(mul, a, b))
+
+
+def _eliminate(row, prow, col):
+    """row := p row - f prow with p = prow[col] > 0 and f = row[col], both
+    divided by their gcd first, then the row divided by the gcd of its
+    entries. Zero at col; a positive factor stays positive."""
+    p, f = prow[col], row[col]
+    g = gcd(p, f)
+    if g > 1:
+        p //= g
+        f //= g
+    row[:] = [p * a - f * b for a, b in zip(row, prow)]
+    g = gcd(*row)
+    if g > 1:
+        row[:] = [a // g for a in row]
+
+
+def _nullspace_from_echelon(echelon, k):
+    """Primitive integer nullspace generator, first nonzero entry positive,
+    from k-1 echelon rows (pivot column, row) with distinct pivots.
+
+    Row m was reduced against rows 0..m-1 only, so in reverse order each
+    row's non-pivot columns are already solved; back-substitution suffices.
+    It stays in integers: x is the solution times a common denominator,
+    and solving p x_pc + s = 0 scales x by p / gcd(p, s).
+    """
+    pivot_cols = {pc for pc, _ in echelon}
+    x = [0] * k
+    x[next(c for c in range(k) if c not in pivot_cols)] = 1
+    for pc, row in reversed(echelon):
+        s = _dot(row, x)
+        if s:
+            g = gcd(row[pc], s)
+            x = [v * (row[pc] // g) for v in x]
+            x[pc] = -s // g
+    x = _primitive(x)
+    if next(v for v in x if v) < 0:
+        x = tuple(-v for v in x)
+    return x
 
 
 class PseudoCodeword:
@@ -48,14 +103,7 @@ class PseudoCodeword:
     @property
     def canonical(self):
         """Unique positive integer multiple with entry gcd 1 (0 maps to 0)."""
-        entries = self.entries
-        if all(x == 0 for x in entries):
-            return (0,) * len(entries)
-        ints = _scaled_to_ints(entries)
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        return tuple(v // g for v in ints)
+        return _primitive(_scaled_to_ints(self.entries))
 
     def scaled(self, c):
         c = Fraction(c)
@@ -195,7 +243,16 @@ def integer_rank(rows):
     """Rank of integer rows. Each row with exactly one nonzero entry is its
     own pivot: the distinct columns of such rows add one each to the rank
     and are dropped from the other rows, and Bareiss fraction-free
-    elimination ranks what is left."""
+    elimination ranks what is left.
+
+    Bareiss stays, rather than Gauss on the shared ``_eliminate``, because
+    it is faster on double description's rank tests. Replaying the 9,513
+    calls of one dd-census pass (seed 1) took 0.21-0.23 s with this kernel,
+    0.26 s with unit peeling plus ``_eliminate``, 0.30-0.36 s with unit
+    peeling plus the oracle's incremental echelon, and 0.69 s with plain
+    Bareiss. A second elimination also keeps the oracle cross-check
+    meaningful: DD ranks with Bareiss and the oracle eliminates with gcd
+    reduction, so one faulty kernel cannot fool both."""
     unit_cols = set()
     rest = []
     for r in rows:

@@ -11,7 +11,7 @@ from math import inf
 from .cone import PseudoCodeword, _vec, active_rank, is_member, type_of
 from .errors import NoSuchPair, NotInCone, NoZeroLinePair, SearchExhausted
 from .plane import Plane, find_hyperovals, incidence_matrix, min_weight_codewords
-from .weights import awgnc_pw, bec_pw, bsc_pw, conjectured_wp
+from .weights import _channel, awgnc_pw, conjectured_wp
 
 
 @dataclass
@@ -43,8 +43,7 @@ class ConstructionTrace:
 
 
 def _weights_of(omega):
-    return {"AWGNC": awgnc_pw(omega), "BSC": bsc_pw(omega),
-            "BEC": bec_pw(omega)}
+    return {kind: _channel(kind)(omega) for kind in ("AWGNC", "BSC", "BEC")}
 
 
 def _codeword_pool(p: Plane):

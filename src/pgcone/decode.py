@@ -167,22 +167,20 @@ def feldman_lp_decode(H: ParityCheck, llr: LLRVector):
     return sol, integral
 
 
-def bsc_sweep(H: ParityCheck, e, L=1, mode="exhaustive", samples=None,
-              seed=None) -> SweepStats:
-    """Classify flip patterns of weight e via zero_optimal."""
+def bsc_sweep(H: ParityCheck, e, L=1, samples=None, seed=None) -> SweepStats:
+    """Classify flip patterns of weight e via zero_optimal: every pattern,
+    or, when ``samples`` is given, that many seeded random ones."""
     n = H.n_cols
-    if mode == "exhaustive":
+    if samples is None:
         if comb(n, e) > 10 ** 6:
             raise TooManyPatterns(f"C({n},{e}) exceeds the exhaustive limit")
         patterns = combinations(range(n), e)
-    elif mode == "sampled":
-        if not samples:
-            raise ValueError("sampled mode needs a sample count")
+    else:
+        if samples < 1:
+            raise ValueError(f"sample count must be at least 1, got {samples}")
         rng = random.Random(seed)
         patterns = (tuple(sorted(rng.sample(range(n), e)))
                     for _ in range(samples))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     counts = {ZERO_STRICTLY_OPTIMAL: 0, TIE: 0, FAILURE: 0}
     total = 0
     for flips in patterns:

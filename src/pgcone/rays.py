@@ -8,12 +8,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
-from operator import mul
 
 from . import weights
-from .cone import (PseudoCodeword, _ints, cone_constraints, integer_rank,
-                   is_member, is_minimal, is_stopping_set)
+from .cone import (PseudoCodeword, _eliminate, _ints, _nullspace_from_echelon,
+                   _primitive, cone_constraints, integer_rank, is_member,
+                   is_minimal, is_stopping_set)
 from .errors import LengthMismatch, MalformedRaySet
 from .plane import ParityCheck
 
@@ -28,7 +27,7 @@ class RaySet:
     def __post_init__(self):
         seen = {}
         for r in self.rays:
-            seen[_reduce(_ints(r))] = None
+            seen[_primitive(_ints(r))] = None
         self.rays = tuple(PseudoCodeword(c) for c in sorted(seen))
         if self.rays:
             self.n = self.rays[0].n
@@ -82,13 +81,6 @@ def insertion_order(H: ParityCheck, seed=None):
     if seed is not None:
         random.Random(seed).shuffle(order)
     return order
-
-
-def _reduce(vec):
-    g = 0
-    for v in vec:
-        g = gcd(g, v)
-    return tuple(v // g for v in vec) if g > 1 else tuple(vec)
 
 
 def enumerate_rays(H: ParityCheck, budget: Budget = None, seed=None) -> RaySet:
@@ -168,7 +160,7 @@ def enumerate_rays(H: ParityCheck, budget: Budget = None, seed=None) -> RaySet:
                         continue
                     if integer_rank([processed[k] for k in rows]) != n - 2:
                         continue
-                    new = _reduce([vp * b - vm * c for b, c in zip(rm, rp)])
+                    new = _primitive([vp * b - vm * c for b, c in zip(rm, rp)])
                     keep.setdefault(new, common | bit)
         rays = keep
         if not complete or out_of_time() or \
@@ -246,14 +238,14 @@ def _rank_deficient_solutions(rows, k):
 
     Subsets are built recursively with an incrementally maintained integer
     row echelon, so dependent branches are pruned with one row reduction.
+    Each echelon row is stored with a positive pivot, as ``_eliminate``
+    needs.
     """
     def reduce_row(echelon, row):
         r = list(row)
         for pc, pr in echelon:
             if r[pc]:
-                f, g = r[pc], pr[pc]
-                r = [g * a - f * b for a, b in zip(r, pr)]
-                r = list(_reduce(r))
+                _eliminate(r, pr, pc)
         return r
 
     def rec(start, depth, echelon):
@@ -265,46 +257,22 @@ def _rank_deficient_solutions(rows, k):
             if not any(red):
                 continue
             pc = next(c for c, v in enumerate(red) if v)
+            if red[pc] < 0:
+                red = [-v for v in red]
             yield from rec(idx + 1, depth + 1, echelon + [(pc, red)])
 
     yield from rec(0, 0, [])
 
 
-def _nullspace_from_echelon(echelon, k):
-    """Primitive integer nullspace generator, first nonzero entry positive,
-    from k-1 echelon rows with distinct pivots.
-
-    Row m was reduced against rows 0..m-1 only, so in reverse order each
-    row's non-pivot columns are already solved; back-substitution suffices.
-    It stays in integers: x is the solution times a common denominator,
-    and solving p x_pc + s = 0 scales x by p / gcd(p, s).
-    """
-    pivot_cols = {pc for pc, _ in echelon}
-    x = [0] * k
-    x[next(c for c in range(k) if c not in pivot_cols)] = 1
-    for pc, row in reversed(echelon):
-        s = sum(map(mul, row, x))
-        if s:
-            g = gcd(row[pc], s)
-            x = [v * (row[pc] // g) for v in x]
-            x[pc] = -s // g
-    x = _reduce(x)
-    if next(v for v in x if v) < 0:
-        x = tuple(-v for v in x)
-    return x
-
-
 def histogram(rs: RaySet, kind: str, bin_width=None):
     """Counts of rays per half-open bin [b, b + w); returns a sorted list of
     (bin_low, bin_high, count)."""
-    kind = kind.upper()
+    calc = weights._channel(kind)
     if bin_width is None:
         bin_width = Fraction(1)
     bin_width = Fraction(bin_width)
     if bin_width <= 0:
         raise ValueError("bin width must be positive")
-    calc = {"AWGNC": weights.awgnc_pw, "BSC": weights.bsc_pw,
-            "BEC": weights.bec_pw}[kind]
     bins = {}
     for r in rs:
         w = Fraction(calc(r))

@@ -5,12 +5,13 @@ by dual simplex.
 Each standard-form row with its right-hand side, and the objective, is
 scaled once to ints by the lcm of its denominators. A tableau row equals
 its equation times a positive factor, its entry at the basic column.
-Pivots are fraction-free (row := p row - row[col] prow, then division by
-the row's gcd) and touch only the rows with a nonzero in the pivot column;
-the ratio test cross-multiplies, so the factors cancel. Every sign and
-ratio is the rational tableau's, so the pivots are too, with no floating
-point anywhere. ``Fraction`` appears only at the boundary: the coercion of
-``LinearProgram`` data, the solution and the optimal value.
+Pivots are fraction-free (``cone._eliminate``: row := p row - row[col]
+prow, then division by the row's gcd) and touch only the rows with a
+nonzero in the pivot column; the ratio test cross-multiplies, so the
+factors cancel. Every sign and ratio is the rational tableau's, so the
+pivots are too, with no floating point anywhere. ``Fraction`` appears only
+at the boundary: the coercion of ``LinearProgram`` data, the solution and
+the optimal value.
 
 The start basis is made of slacks wherever it can be. Every row is
 oriented so that its right-hand side is nonnegative, and a ``>=`` row with
@@ -39,8 +40,9 @@ satisfies never ends the loop.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
+from .cone import _eliminate, _scaled_to_ints
 from .errors import LpNotOptimal
 
 GE = ">="
@@ -230,9 +232,7 @@ def lp_solve(lp: LinearProgram) -> LpResult:
         for row in tableau:
             del row[ncols:total]
 
-    m = lcm(*(a.denominator for a in c))
-    z2 = _reduced_costs(tableau, basis,
-                        [a.numerator * (m // a.denominator) for a in c], ncols)
+    z2 = _reduced_costs(tableau, basis, _scaled_to_ints(c), ncols)
     if _run(tableau, basis, z2, ncols) == UNBOUNDED:
         return LpResult(status=UNBOUNDED)
     # slacks keeps the rows of lp.constraints, then gains the separated
@@ -347,18 +347,3 @@ def _pivot_full(tableau, zrow, basis, r, col):
         if row[col] and row is not prow:
             _eliminate(row, prow, col)
     basis[r] = col
-
-
-def _eliminate(row, prow, col):
-    """row := p row - f prow with p = prow[col] > 0 and f = row[col], both
-    divided by their gcd first, then the row divided by the gcd of its
-    entries. Zero at col; a positive factor stays positive."""
-    p, f = prow[col], row[col]
-    g = gcd(p, f)
-    if g > 1:
-        p //= g
-        f //= g
-    row[:] = [p * a - f * b for a, b in zip(row, prow)]
-    g = gcd(*row)
-    if g > 1:
-        row[:] = [a // g for a in row]

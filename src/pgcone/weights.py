@@ -33,32 +33,30 @@ def bsc_pw(omega) -> int:
     if not vec:
         raise ZeroVector("BSC pseudo-weight of the zero vector is undefined")
     total = sum(vec)
-    half = Fraction(total, 2)
-    acc = Fraction(0)
-    for e, x in enumerate(vec, start=1):
-        acc += x
-        if acc >= half:
-            return 2 * e if acc == half else 2 * e - 1
-    raise AssertionError("unreachable")
+    acc = e = 0
+    while 2 * acc < total:
+        acc += vec[e]
+        e += 1
+    return 2 * e if 2 * acc == total else 2 * e - 1
+
+
+def _channel(kind):
+    """Pseudo-weight function of a channel kind (AWGNC, BSC, BEC, any case),
+    looked up at each call, so a wrapper later bound to its name is used."""
+    calc = {"AWGNC": awgnc_pw, "BSC": bsc_pw, "BEC": bec_pw}.get(kind.upper())
+    if calc is None:
+        raise ValueError(f"unknown channel kind {kind!r}")
+    return calc
 
 
 def pw_from_type(t: TypeVector, kind: str):
-    """Pseudo-weight from a type vector alone; kind in {AWGNC, BSC, BEC}."""
-    kind = kind.upper()
-    if kind == "BEC":
-        return sum(t.counts.values())
-    if kind == "AWGNC":
-        one = sum(k * v for k, v in t.counts.items())
-        if one == 0:
-            return Fraction(0)
-        two = sum(k * k * v for k, v in t.counts.items())
-        return one * one / two
-    if kind == "BSC":
-        entries = []
-        for k, v in t.counts.items():
-            entries.extend([k] * v)
-        return bsc_pw(entries + [0] * t.t0)
-    raise ValueError(f"unknown channel kind {kind!r}")
+    """Pseudo-weight from a type vector alone: that of a vector with t_k
+    entries equal to k; kind in {AWGNC, BSC, BEC}."""
+    calc = _channel(kind)
+    entries = [0] * t.t0
+    for k, v in t.counts.items():
+        entries.extend([k] * v)
+    return calc(entries)
 
 
 @dataclass

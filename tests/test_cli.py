@@ -86,6 +86,20 @@ def test_rays_and_histogram(tmp_path, capsys):
     assert csv.splitlines()[1].startswith("4,")
 
 
+def test_histogram_warns_on_partial_rayset(tmp_path, capsys):
+    from pgcone.cone import PseudoCodeword
+    from pgcone.rays import RaySet
+    path = tmp_path / "partial.jsonl"
+    RaySet(rays=(PseudoCodeword([1, 0, 1, 1, 1, 0, 0]),), h_matrix_id="x",
+           complete=False, n=7).save_jsonl(path)
+    assert run(tmp_path, "rays", "histogram", "--rayset", str(path),
+               "--kind", "BEC") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "warning: ray set is partial"
+    assert (tmp_path / "histogram_bec.csv").read_text() == \
+        "bin_low,bin_high,count\n4,5,1\n"
+
+
 def test_rays_zero_budget_is_honoured(tmp_path, capsys):
     assert run(tmp_path, "rays", "enumerate", "--q", "2",
                "--max-rays", "0") == 0
@@ -106,6 +120,9 @@ def test_decode_sweep(tmp_path, capsys):
     assert run(tmp_path, "decode", "sweep", "--q", "2", "--e", "1") == 0
     assert "1,7,7,0,0" in capsys.readouterr().out
     assert (tmp_path / "sweep_q2_e1.csv").exists()
+    assert run(tmp_path, "decode", "sweep", "--q", "2", "--e", "1",
+               "--samples", "3", "--seed", "1") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "1,3,3,0,0"
 
 
 def test_decode_feldman(tmp_path, capsys):
@@ -139,6 +156,17 @@ def test_effective_rejects_a_rayset_of_another_matrix(tmp_path, capsys):
         assert len(lines) == 14
 
 
+def test_construct_ex5_and_conjecture_lines(tmp_path, capsys):
+    assert run(tmp_path, "construct", "ex5") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "zero lines 5,8; intersection 11; max alpha 2"
+    assert (tmp_path / "construct_ex5_q4.json").exists()
+    assert run(tmp_path, "construct", "conjecture", "--q", "2") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "conjectured family target pseudo-weight 25/4"
+    assert (tmp_path / "construct_conjecture_q2.json").exists()
+
+
 def test_construct_ex3(tmp_path, capsys):
     assert run(tmp_path, "construct", "ex3", "--q", "2") == 0
     assert "awgnc_pw 25/4" in capsys.readouterr().out
@@ -167,6 +195,7 @@ def test_domain_error_exit_code(tmp_path, capsys):
     ("construct", "ex5", "--q", "2"),
     ("rays", "histogram", "--rayset", "/nonexistent/rays.jsonl",
      "--kind", "BEC"),
+    ("decode", "sweep", "--q", "2", "--e", "1", "--samples", "0"),
 ])
 def test_input_error_exit_code(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 1

@@ -6,7 +6,8 @@ from math import inf
 import pytest
 
 from pgcone.cone import is_member, mod2_reduce, type_of
-from pgcone.construct import (conjectured_family_search, ex3_minimal_pcw,
+from pgcone.construct import (_is_simplex_configuration,
+                              conjectured_family_search, ex3_minimal_pcw,
                               ex5_procedure, max_alpha, overlapping_pair)
 from pgcone.errors import NoSuchPair, SearchExhausted
 from pgcone.plane import incidence_matrix
@@ -98,6 +99,17 @@ def test_conjectured_family_q4(plane4, codewords4):
     t = trace.final_type
     assert (t.get(1), t.get(2)) == (6, 5)
     assert trace.pseudo_weights["AWGNC"] == conjectured_wp(4)
+
+
+def test_simplex_configuration_q8(plane8):
+    # s = 3 switch sets: three collinear points are rejected, a triangle
+    # (no point on the line through the other two) is accepted.
+    a, b, c = sorted(plane8.lines[0])[:3]
+    assert not _is_simplex_configuration(plane8, (a, b, c))
+    line = plane8.lines[plane8.line_through(a, b)]
+    d = next(x for x in range(plane8.n) if x not in line)
+    assert _is_simplex_configuration(plane8, (a, b, d))
+    assert _is_simplex_configuration(plane8, (a, b))
 
 
 @pytest.mark.parametrize("q, budget, switched", [

@@ -263,13 +263,11 @@ def test_sweep_e2_all_ties(H2):
 
 
 def test_sweep_sampled_mode(H2):
-    stats = bsc_sweep(H2, 1, mode="sampled", samples=5, seed=1)
+    stats = bsc_sweep(H2, 1, samples=5, seed=1)
     assert stats.patterns == 5
     assert stats.corrected == 5
     with pytest.raises(ValueError):
-        bsc_sweep(H2, 1, mode="sampled")
-    with pytest.raises(ValueError):
-        bsc_sweep(H2, 1, mode="bogus")
+        bsc_sweep(H2, 1, samples=0)
 
 
 def test_sweep_pattern_gate():

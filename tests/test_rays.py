@@ -205,3 +205,8 @@ def test_histogram_csv(rays2):
 def test_histogram_bad_width(rays2):
     with pytest.raises(ValueError):
         histogram(rays2, "BEC", bin_width=0)
+
+
+def test_histogram_unknown_kind(rays2):
+    with pytest.raises(ValueError, match="unknown channel kind"):
+        histogram(rays2, "AWGN")

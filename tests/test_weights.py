@@ -95,6 +95,11 @@ def test_pw_from_type_examples():
     assert pw_from_type(TypeVector({1: 8, 2: 5}, 21), "BEC") == 13
 
 
+def test_pw_from_type_unknown_kind():
+    with pytest.raises(ValueError, match="unknown channel kind 'BIAWGN'"):
+        pw_from_type(TypeVector({1: 4, 2: 3}, 7), "BIAWGN")
+
+
 def test_lemma1():
     rep = bound_lemma1(TypeVector({1: 4, 2: 3}, 7))
     assert rep.applicable and rep.value == 6
