@@ -22,10 +22,6 @@ from .plane import (build_plane, incidence_matrix, min_weight_codewords,
 from .rays import Budget, RaySet, enumerate_rays, histogram, histogram_csv
 
 
-def _frac(text):
-    return Fraction(text)
-
-
 def _fmt(x):
     """Render a rational with 4 significant digits for summary output."""
     return f"{float(x):.4g}"
@@ -324,22 +320,22 @@ def build_parser():
     add(rays_p, "histogram", cmd_rays_histogram,
         rayset={"required": True}, kind={"choices": ["AWGNC", "BSC", "BEC"],
                                          "required": True},
-        bin_width={"type": _frac, "default": Fraction(1)})
+        bin_width={"type": Fraction, "default": Fraction(1)})
 
     decode_p = sub.add_parser("decode").add_subparsers(dest="sub", required=True)
     add(decode_p, "zero-opt", cmd_decode_zero_opt, q=q_arg,
-        flips={"default": ""}, L={"type": _frac, "default": Fraction(1)})
+        flips={"default": ""}, L={"type": Fraction, "default": Fraction(1)})
     add(decode_p, "sweep", cmd_decode_sweep, q=q_arg, e={"type": int, "required": True},
-        L={"type": _frac, "default": Fraction(1)}, samples={"type": int},
+        L={"type": Fraction, "default": Fraction(1)}, samples={"type": int},
         seed={"type": int})
     add(decode_p, "feldman", cmd_decode_feldman, q=q_arg,
-        flips={"default": ""}, L={"type": _frac, "default": Fraction(1)})
+        flips={"default": ""}, L={"type": Fraction, "default": Fraction(1)})
 
     effective = sub.add_parser("effective").add_subparsers(dest="sub", required=True)
     add(effective, "awgnc", cmd_effective_awgnc, rayset={"required": True},
         q={"type": int})
     add(effective, "bsc", cmd_effective_bsc, rayset={"required": True},
-        q={"type": int}, L={"type": _frac, "default": Fraction(1)})
+        q={"type": int}, L={"type": Fraction, "default": Fraction(1)})
 
     construct_p = sub.add_parser("construct").add_subparsers(dest="sub", required=True)
     add(construct_p, "ex3", cmd_construct_ex3, q=q_arg)

@@ -86,7 +86,11 @@ class ParityCheck:
             take(d)  # column neighbor lists (redundant with rows)
         rows = []
         for d in row_deg:
-            rows.append([i - 1 for i in take(d)])
+            row = take(d)
+            bad = next((i for i in row if not 1 <= i <= n_cols), None)
+            if bad is not None:
+                raise ValueError(f"alist index {bad} outside 1..{n_cols}")
+            rows.append([i - 1 for i in row])
         return cls(rows, n_cols)
 
     def to_dense_text(self):

@@ -1,6 +1,6 @@
-"""Exact two-phase simplex on an integer tableau, with Bland's rule for
-both the entering and the leaving column, and cutting planes re-entered
-by dual simplex.
+"""Exact simplex on an integer tableau, with Bland's rule for both the
+entering and the leaving column: dual simplex for phase 1 and for cutting
+planes, primal simplex for the objective.
 
 Each standard-form row with its right-hand side, and the objective, is
 scaled once to ints by the lcm of its denominators. A tableau row equals
@@ -13,29 +13,28 @@ pivots are too, with no floating point anywhere. ``Fraction`` appears only
 at the boundary: the coercion of ``LinearProgram`` data, the solution and
 the optimal value.
 
-The start basis is made of slacks wherever it can be. Every row is
-oriented so that its right-hand side is nonnegative, and a ``>=`` row with
-b == 0 is negated too, so that each ``<=`` row with b >= 0 and each ``>=``
-row with b <= 0 starts with its slack basic. Only the remaining rows
-(``==`` rows, ``>=`` rows with b > 0, ``<=`` rows with b < 0) get an
-artificial column and go through phase 1; an LP without such rows skips
-phase 1. Phase 2 runs without the artificial columns.
+Every row enters the tableau one way, as a ``<=`` row with its own slack
+column, which starts basic: a ``>=`` row is negated, and an ``==`` row
+enters as a ``<=`` row and a ``>=`` row. The basic columns are eliminated
+from the new row, so its rhs is the slack's value at the current basic
+solution, negative where that solution violates the row. A slack basis is
+dual feasible at zero cost, so phase 1 is dual simplex at zero cost: it
+reaches a feasible basis or proves that there is none (Lemke, 1954;
+Chvatal, "Linear Programming", 1983, ch. 10). Phase 2 is primal simplex on
+the objective. No row or slack column is ever dropped. Dual simplex keeps
+Bland's rule in the dual: the leaving row is the negative-rhs row with the
+smallest basic column, and the entering column the one of least ratio
+z_j / -a_j over a_j < 0 (cross-multiplied), ties to the smallest column.
+A leaving row with no a_j < 0 proves the LP infeasible.
 
 An LP may carry a separation oracle, ``separate``: given an optimal
 solution it returns the rows that solution violates, in ``constraints``
 form (inequalities only), or nothing once the solution is feasible for the
-whole family. Each returned row is appended to the final tableau with a
-new slack column, which starts basic: the row is scaled to ints once and
-the basic columns are eliminated from it, so its rhs is the slack's value
-at the current solution, negative for a violated row. The reduced costs
-are untouched, so the basis stays dual feasible, and dual simplex restores
-primal feasibility with Bland's rule in the dual: the leaving row is the
-negative-rhs row with the smallest basic column, and the entering column
-the one of least ratio z_j / -a_j over a_j < 0 (cross-multiplied), ties to
-the smallest column. A leaving row with no a_j < 0 proves the LP with its
-cuts infeasible. The oracle is called again on each new optimum until it
-returns nothing, so an oracle that keeps returning rows the solution
-satisfies never ends the loop.
+whole family. The returned rows enter the final tableau as above. The
+reduced costs are untouched, so the basis stays dual feasible, and dual
+simplex restores primal feasibility. The oracle is called again on each
+new optimum until it returns nothing, so an oracle that keeps returning
+rows the solution satisfies never ends the loop.
 """
 
 from dataclasses import dataclass, field
@@ -43,7 +42,6 @@ from fractions import Fraction
 from math import lcm
 
 from .cone import _eliminate, _scaled_to_ints
-from .errors import LpNotOptimal
 
 GE = ">="
 LE = "<="
@@ -165,113 +163,71 @@ def _to_standard_form(lp: LinearProgram):
     return c, nstd, rows, expand, recover
 
 
-def _needs_artificial(rel, b):
-    """True unless the oriented row has its slack at +1 with b >= 0."""
-    return rel == EQ or (rel == GE and b > 0) or (rel == LE and b < 0)
-
-
-def _int_row(coeffs, b, sign, width):
-    """coeffs (a sparse {index: value} dict) and rhs b, times sign and the
-    lcm m of their denominators, as an int row of width columns plus the
-    rhs. Returns the row and m."""
-    m = lcm(b.denominator, *(a.denominator for a in coeffs.values()))
-    row = [0] * (width + 1)
-    for idx, a in coeffs.items():
-        row[idx] = sign * a.numerator * (m // a.denominator)
-    row[-1] = sign * b.numerator * (m // b.denominator)
-    return row, m
+def _append(tableau, basis, zrow, rows):
+    """Add inequality rows (sparse coeffs, LE or GE, b) to the tableau as
+    the module docstring says: each times sign (-1 for GE) and the lcm m of
+    its denominators, with its slack at +m and basic. zrow gains the zero
+    reduced costs of the new slacks."""
+    width = len(zrow) - 1
+    full = width + len(rows)
+    for row in (*tableau, zrow):
+        row[-1:-1] = [0] * len(rows)
+    new = []
+    for k, (coeffs, rel, b) in enumerate(rows, width):
+        sign = 1 if rel == LE else -1
+        m = lcm(b.denominator, *(a.denominator for a in coeffs.values()))
+        row = [0] * (full + 1)
+        for idx, a in coeffs.items():
+            row[idx] = sign * a.numerator * (m // a.denominator)
+        row[k] = m
+        row[-1] = sign * b.numerator * (m // b.denominator)
+        new.append(_reduced_costs(tableau, basis, row, full))
+    tableau.extend(new)
+    basis.extend(range(width, full))
 
 
 def lp_solve(lp: LinearProgram) -> LpResult:
     c, nstd, rows, expand, recover = _to_standard_form(lp)
-    ncols = nstd + sum(1 for _, rel, _ in rows if rel != EQ)
-    n_art = sum(1 for _, rel, b in rows if _needs_artificial(rel, b))
-    total = ncols + n_art
-
-    # Int rows over [standard | slack | artificial | rhs]: each row times
-    # the lcm m of its denominators, oriented so that b >= 0 and, where
-    # possible, its slack starts in the basis at +m.
-    tableau = []
-    basis = []
-    slacks = []  # each row's slack column, None for an EQ row
-    slack = nstd
-    art = ncols
-    for coeffs, rel, b in rows:
-        sign = -1 if b < 0 or (rel == GE and b == 0) else 1
-        row, m = _int_row(coeffs, b, sign, total)
-        slacks.append(None if rel == EQ else slack)
-        if rel != EQ:
-            row[slack] = sign * m if rel == LE else -sign * m
-            slack += 1
-        if _needs_artificial(rel, b):
-            row[art] = m
-            basis.append(art)
-            art += 1
-        else:
-            basis.append(slack - 1)
-        tableau.append(row)
-
-    if n_art:
-        z1 = _reduced_costs(tableau, basis, [0] * ncols + [1] * n_art, total)
-        status = _run(tableau, basis, z1, total)
-        if status != OPTIMAL:
-            raise LpNotOptimal(f"phase 1 ended {status}")
-        if z1[-1] != 0:
-            return LpResult(status=INFEASIBLE)
-        # Drive any artificial still basic out of the basis; if its row has
-        # no nonzero outside the artificial columns, the row is redundant
-        # and is dropped. Then the artificial columns go.
-        for r, row in enumerate(tableau):
-            if basis[r] >= ncols:
-                col = next((j for j in range(ncols) if row[j]), None)
-                if col is not None:
-                    _pivot_full(tableau, z1, basis, r, col)
-        kept = [r for r in range(len(tableau)) if basis[r] < ncols]
-        tableau = [tableau[r] for r in kept]
-        basis = [basis[r] for r in kept]
-        for row in tableau:
-            del row[ncols:total]
-
-    z2 = _reduced_costs(tableau, basis, _scaled_to_ints(c), ncols)
-    if _run(tableau, basis, z2, ncols) == UNBOUNDED:
+    # An EQ row enters as its LE half and its GE half. slacks holds the
+    # slack column of each row of lp.constraints (an EQ row's LE half),
+    # then of each separated row in the order the rows are added.
+    halves, slacks = [], []
+    for k, (coeffs, rel, b) in enumerate(rows):
+        if k < len(lp.constraints):
+            slacks.append(nstd + len(halves))
+        for half in (LE, GE) if rel == EQ else (rel,):
+            halves.append((coeffs, half, b))
+    tableau, basis, zero = [], [], [0] * (nstd + 1)
+    _append(tableau, basis, zero, halves)
+    if _dual(tableau, basis, zero) == INFEASIBLE:
+        return LpResult(status=INFEASIBLE)
+    z = _reduced_costs(tableau, basis, _scaled_to_ints(c), len(zero) - 1)
+    if _run(tableau, basis, z) == UNBOUNDED:
         return LpResult(status=UNBOUNDED)
-    # slacks keeps the rows of lp.constraints, then gains the separated
-    # rows' slacks in the order the rows are added.
-    slacks = slacks[:len(lp.constraints)]
-    width = ncols
     while True:
-        y = [0] * width
+        y = [0] * (len(z) - 1)
         for r, row in enumerate(tableau):
             y[basis[r]] = Fraction(row[-1], row[basis[r]])
         xs = recover(y)
         cuts = lp.separate(xs) if lp.separate is not None else None
         if not cuts:
             break
-        # Each cut gets a slack column at +m, basic, before the rhs.
-        full = width + len(cuts)
-        for row in (*tableau, z2):
-            row[-1:-1] = [0] * len(cuts)
         new = []
-        for k, (a, rel, b) in enumerate(cuts, width):
+        for a, rel, b in cuts:
             if len(a) != len(lp.objective):
                 raise ValueError("constraint dimension mismatch")
             if rel == EQ:
                 raise ValueError("separated rows must be inequalities")
             coeffs, const = expand([Fraction(v) if v else v for v in a])
-            row, m = _int_row(coeffs, Fraction(b) - const,
-                              1 if rel == LE else -1, full)
-            row[k] = m
-            new.append(_reduced_costs(tableau, basis, row, full))
-            slacks.append(k)
-        tableau.extend(new)
-        basis.extend(range(width, full))
-        width = full
-        if _dual(tableau, basis, z2, width) == INFEASIBLE:
+            new.append((coeffs, rel, Fraction(b) - const))
+        slacks.extend(range(len(z) - 1, len(z) - 1 + len(new)))
+        _append(tableau, basis, z, new)
+        if _dual(tableau, basis, z) == INFEASIBLE:
             return LpResult(status=INFEASIBLE)
     value = sum((ci * xi for ci, xi in zip(lp.objective, xs) if ci and xi),
                 _ZERO)
     # A row is tight exactly when its slack is zero: nonbasic, or basic
-    # with rhs 0. An EQ row, even one dropped as redundant, always is.
+    # with rhs 0. Both slacks of an EQ row are zero at every feasible point.
     row_of = {col: row for col, row in zip(basis, tableau)}
     tight = [k for k, s in enumerate(slacks)
              if s not in row_of or not row_of[s][-1]]
@@ -290,11 +246,11 @@ def _reduced_costs(tableau, basis, cost, width):
     return z
 
 
-def _run(tableau, basis, zrow, limit):
-    """Minimize zrow over the columns below limit, reducing it in place;
-    Bland's rule for both the entering and the leaving column."""
+def _run(tableau, basis, zrow):
+    """Minimize zrow, reducing it in place; Bland's rule for both the
+    entering and the leaving column."""
     while True:
-        col = next((j for j in range(limit) if zrow[j] < 0), None)
+        col = next((j for j in range(len(zrow) - 1) if zrow[j] < 0), None)
         if col is None:
             return OPTIMAL
         r_pick = None
@@ -312,10 +268,10 @@ def _run(tableau, basis, zrow, limit):
         _pivot_full(tableau, zrow, basis, r_pick, col)
 
 
-def _dual(tableau, basis, zrow, limit):
-    """Dual simplex from a dual feasible basis (zrow >= 0 below limit)
-    until every rhs is nonnegative; Bland's rule in the dual. Returns
-    INFEASIBLE when the leaving row has no negative entry."""
+def _dual(tableau, basis, zrow):
+    """Dual simplex from a dual feasible basis (zrow >= 0) until every rhs
+    is nonnegative; Bland's rule in the dual. Returns INFEASIBLE when the
+    leaving row has no negative entry."""
     while True:
         r_pick = None
         for r, row in enumerate(tableau):
@@ -325,7 +281,7 @@ def _dual(tableau, basis, zrow, limit):
             return OPTIMAL
         row = tableau[r_pick]
         col = None
-        for j in range(limit):
+        for j in range(len(zrow) - 1):
             a = row[j]
             if a < 0 and (col is None
                           # z_j / -a below z_col / -a_col, cross-multiplied.

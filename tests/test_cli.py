@@ -32,6 +32,11 @@ def test_plane_export_dense(tmp_path):
     assert (tmp_path / "plane_q2.txt").exists()
 
 
+def test_plane_export_alist_default(tmp_path, H2):
+    assert run(tmp_path, "plane", "export", "--q", "2") == 0
+    assert (tmp_path / "plane_q2.alist").read_text() == H2.to_alist()
+
+
 def test_codewords_min(tmp_path, capsys):
     assert run(tmp_path, "codewords", "min", "--q", "2") == 0
     assert "7 codewords" in capsys.readouterr().out
@@ -114,6 +119,23 @@ def test_decode_zero_opt(tmp_path, capsys):
     assert run(tmp_path, "decode", "zero-opt", "--q", "2",
                "--flips", "0,1,2") == 0
     assert "Failure" in capsys.readouterr().out
+
+
+def test_fraction_options(tmp_path, capsys):
+    assert run(tmp_path, "decode", "zero-opt", "--q", "2", "--flips", "0",
+               "--L", "1/2") == 0
+    assert capsys.readouterr().out == "ZeroStrictlyOptimal; objective 1/4\n"
+    assert run(tmp_path, "rays", "enumerate", "--q", "2") == 0
+    assert run(tmp_path, "rays", "histogram", "--rayset",
+               str(tmp_path / "rays_q2.jsonl"), "--kind", "AWGNC",
+               "--bin-width", "1/2") == 0
+    assert (tmp_path / "histogram_awgnc.csv").read_text() == \
+        "bin_low,bin_high,count\n4,9/2,7\n6,13/2,7\n"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "decode", "zero-opt", "--q", "2", "--L", "abc")
+    assert exc.value.code == 2
+    assert "invalid Fraction value: 'abc'" in capsys.readouterr().err
 
 
 def test_decode_sweep(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Plane construction, incidence matrices, GF(2) linear algebra, arcs."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -79,6 +80,30 @@ def test_alist_round_trip(H4):
     back = ParityCheck.from_alist(text)
     assert back.rows == H4.rows
     assert back.matrix_id() == H4.matrix_id()
+
+
+def test_alist_round_trip_random():
+    # Random sparse matrices, empty rows and columns included.
+    rng = random.Random(53)
+    for _ in range(200):
+        n_rows, n_cols = rng.randint(1, 12), rng.randint(1, 12)
+        rows = [rng.sample(range(n_cols), rng.randint(0, min(4, n_cols)))
+                for _ in range(n_rows)]
+        H = ParityCheck(rows, n_cols)
+        back = ParityCheck.from_alist(H.to_alist())
+        assert back.rows == H.rows and back.cols == H.cols
+        assert back.matrix_id() == H.matrix_id()
+
+
+@pytest.mark.parametrize("index", [0, 4])
+def test_alist_index_out_of_range(index):
+    # Rows {0, 1} and {1, 2} of three columns; the last row's first index
+    # (1-based) is replaced by one outside 1..3.
+    text = ParityCheck([[0, 1], [1, 2]], 3).to_alist()
+    assert text.endswith("\n2 3\n")
+    bad = text[:-4] + f"{index} 3\n"
+    with pytest.raises(ValueError, match=f"alist index {index} outside 1..3"):
+        ParityCheck.from_alist(bad)
 
 
 def test_dense_text(H2):

@@ -22,6 +22,11 @@ def test_awgnc_basics():
     assert awgnc_pw([1, 1, 1, 1]) == 4
 
 
+def test_awgnc_negative_entry_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        awgnc_pw([1, -1])
+
+
 def test_awgnc_q4_value():
     vec = [1] * 6 + [2] * 5 + [0] * 10
     assert awgnc_pw(vec) == Fraction(128, 13)
