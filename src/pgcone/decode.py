@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .cone import PseudoCodeword, _row, _scaled_to_ints
+from .cone import PseudoCodeword, _row
 from .errors import EmptyFlips, LpNotOptimal, TooManyPatterns
 from .plane import ParityCheck
 from .simplex import EQ, GE, LE, OPTIMAL, LinearProgram, lp_solve
@@ -68,19 +68,19 @@ def zero_optimal(H: ParityCheck, llr: LLRVector, constraints=None) -> DecodeOutc
 
     Solved by exact cutting planes in one ``lp_solve`` call. The LP has
     only the mass row sum(omega) = 1 and omega >= 0; its separation oracle
-    scales each optimum to ints once and separates check by check: check j
-    violates at most one cone row, the one whose pivot i is the argmax of
-    omega on I_j, and only when 2 omega_i > sum(omega_{I_j}). ``lp_solve``
-    appends those rows and re-enters by dual simplex from the last basis,
-    until no cone row is violated; the optimum is then feasible for the
-    full cone LP, so it is that LP's optimum. Each cut's dense row is built
-    when the oracle returns it. ``constraints`` is ignored; it is accepted
-    only because older callers pass ``cone_constraints(H)`` there.
+    reads each optimum as ints x over a positive d (omega = x / d; every
+    test below is invariant under that scaling) and separates check by
+    check: check j violates at most one cone row, the one whose pivot i is
+    the argmax of omega on I_j, and only when 2 omega_i > sum(omega_{I_j}).
+    ``lp_solve`` appends those rows and re-enters by dual simplex from the
+    last basis, until no cone row is violated; the optimum is then feasible
+    for the full cone LP, so it is that LP's optimum. Each cut's dense row
+    is built when the oracle returns it. ``constraints`` is ignored; it is
+    accepted only because older callers pass ``cone_constraints(H)`` there.
     """
     n = H.n_cols
 
-    def separate(solution):
-        x = _scaled_to_ints(solution)
+    def separate(x, d):
         cuts = []
         for j, support in enumerate(H.rows):
             i = max(support, key=x.__getitem__)
@@ -134,7 +134,8 @@ def feldman_lp_decode(H: ParityCheck, llr: LLRVector):
     sum(f_S) - sum(f_{I_j \\ S}) <= |S| - 1, with 0 <= f <= 1.
 
     Solved by exact cutting planes in one ``lp_solve`` call. The LP has
-    only the box 0 <= f <= 1; its separation oracle runs ``_odd_set_cut``
+    only the box 0 <= f <= 1; its separation oracle reads each optimum as
+    ints x over a positive d (f = x / d), runs ``_odd_set_cut`` with scale d
     on each check, which finds the check's most violated odd-set row, and
     returns every violated one. ``lp_solve`` appends them and re-enters by
     dual simplex from the last basis, until no odd-set row is violated and
@@ -144,13 +145,10 @@ def feldman_lp_decode(H: ParityCheck, llr: LLRVector):
     """
     n = H.n_cols
 
-    def separate(solution):
-        # Scaling with a trailing 1 puts the common denominator last.
-        x = _scaled_to_ints((*solution, 1))
-        scale = x.pop()
+    def separate(x, d):
         cuts = []
         for support in H.rows:
-            S, excess = _odd_set_cut(support, x, scale)
+            S, excess = _odd_set_cut(support, x, d)
             if excess > 0:
                 coeffs = [0] * n
                 for i in support:
@@ -163,8 +161,7 @@ def feldman_lp_decode(H: ParityCheck, llr: LLRVector):
     if res.status != OPTIMAL:
         raise LpNotOptimal(f"polytope LP ended {res.status}")
     sol = tuple(res.solution)
-    integral = all(x in (0, 1) for x in sol)
-    return sol, integral
+    return sol, all(x in (0, 1) for x in sol)
 
 
 def bsc_sweep(H: ParityCheck, e, L=1, samples=None, seed=None) -> SweepStats:

@@ -82,8 +82,7 @@ class ParityCheck:
         take(2)  # max degrees
         col_deg = take(n_cols)
         row_deg = take(n_rows)
-        for d in col_deg:
-            take(d)  # column neighbor lists (redundant with rows)
+        col_lists = [take(d) for d in col_deg]
         rows = []
         for d in row_deg:
             row = take(d)
@@ -91,7 +90,14 @@ class ParityCheck:
             if bad is not None:
                 raise ValueError(f"alist index {bad} outside 1..{n_cols}")
             rows.append([i - 1 for i in row])
-        return cls(rows, n_cols)
+        if pos < len(fields):
+            raise ValueError(f"alist has {fields[pos]!r} after the row lists")
+        H = cls(rows, n_cols)
+        for i, col in enumerate(col_lists):
+            if sorted(col) != [j + 1 for j in H.cols[i]]:
+                raise ValueError(f"alist column {i + 1} lists rows {col}; "
+                                 f"the rows say {[j + 1 for j in H.cols[i]]}")
+        return H
 
     def to_dense_text(self):
         lines = []

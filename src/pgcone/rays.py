@@ -54,7 +54,12 @@ class RaySet:
         with open(path) as fh:
             try:
                 header = json.loads(fh.readline())
-                fields = {k: header[k] for k in ("h_matrix_id", "complete", "n")}
+                kinds = {"h_matrix_id": str, "complete": bool, "n": int}
+                fields = {k: header[k] for k in kinds}
+                for k, kind in kinds.items():
+                    if (type(fields[k]) is not kind
+                            or k == "n" and fields[k] < 0):
+                        raise ValueError(f"header {k} is {fields[k]!r}")
                 rays = [PseudoCodeword(json.loads(line)["ray"])
                         for line in fh if line.strip()]
             except (KeyError, TypeError, ValueError) as exc:

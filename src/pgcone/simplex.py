@@ -10,8 +10,7 @@ prow, then division by the row's gcd) and touch only the rows with a
 nonzero in the pivot column; the ratio test cross-multiplies, so the
 factors cancel. Every sign and ratio is the rational tableau's, so the
 pivots are too, with no floating point anywhere. ``Fraction`` appears only
-at the boundary: the coercion of ``LinearProgram`` data, the solution and
-the optimal value.
+at the boundary: the coercion of ``LinearProgram`` data and the ``LpResult``.
 
 Every row enters the tableau one way, as a ``<=`` row with its own slack
 column, which starts basic: a ``>=`` row is negated, and an ``==`` row
@@ -27,14 +26,15 @@ smallest basic column, and the entering column the one of least ratio
 z_j / -a_j over a_j < 0 (cross-multiplied), ties to the smallest column.
 A leaving row with no a_j < 0 proves the LP infeasible.
 
-An LP may carry a separation oracle, ``separate``: given an optimal
-solution it returns the rows that solution violates, in ``constraints``
-form (inequalities only), or nothing once the solution is feasible for the
-whole family. The returned rows enter the final tableau as above. The
-reduced costs are untouched, so the basis stays dual feasible, and dual
-simplex restores primal feasibility. The oracle is called again on each
-new optimum until it returns nothing, so an oracle that keeps returning
-rows the solution satisfies never ends the loop.
+An LP may carry a separation oracle, ``separate(x, d)``, called on each
+optimum x / d: x has one int per original variable, d > 0 is the lcm of
+the bound shifts' denominators and the factors of the rows of nonzero
+basic standard variables. It returns the rows x / d violates, in
+``constraints`` form (inequalities with int or Fraction entries), or
+nothing once x / d is feasible for the whole family; the loop ends only
+then. The rows enter the final tableau as above. The reduced costs are
+untouched, so the basis stays dual feasible, and dual simplex restores
+primal feasibility.
 """
 
 from dataclasses import dataclass, field
@@ -51,16 +51,13 @@ OPTIMAL = "Optimal"
 UNBOUNDED = "Unbounded"
 INFEASIBLE = "Infeasible"
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 @dataclass
 class LinearProgram:
     """Minimize objective . x subject to rows (a, rel, b) and optional
     per-variable (lower, upper) bounds; a bound of None means unbounded.
-    ``separate``, when given, maps an optimal solution x to the rows of a
-    larger family that x violates (see the module docstring)."""
+    ``separate(x, d)``, when given, returns the rows of a larger family
+    that the optimum x / d violates (see the module docstring)."""
     objective: list
     constraints: list
     bounds: list = None
@@ -100,22 +97,21 @@ def _to_standard_form(lp: LinearProgram):
     """Rewrite as min c.y, A y (rel) b with y >= 0.
 
     Returns (c, nstd, rows, expand, recover): rows hold their
-    coefficients as a sparse {std index: value} dict, expand maps a row of
-    original coefficients to that dict and the constant its bound shifts
-    add, and recover maps a standard-form solution back to the original
-    variables.
+    coefficients as a sparse {std index: value} dict, expand maps a row
+    (a, rel, b) in the original variables to that form, its rhs less the
+    constant the bound shifts add, and recover maps a tableau's basic
+    solution to (x, d), the original variables as x / d (module docstring).
     """
-    n = len(lp.objective)
     var_terms = []   # per original var: list of (std index, sign)
     var_shift = []   # constant added to the variable expression
     extra_rows = []  # upper-bound rows in standard variables
     nstd = 0
-    for k, (lo, hi) in enumerate(lp.bounds):
+    for lo, hi in lp.bounds:
         if lo is not None:
             var_terms.append([(nstd, 1)])
             var_shift.append(lo)
             if hi is not None:
-                extra_rows.append(({nstd: _ONE}, LE, hi - lo))
+                extra_rows.append(({nstd: 1}, LE, hi - lo))
             nstd += 1
         elif hi is not None:
             # x = hi - y with y >= 0
@@ -124,41 +120,41 @@ def _to_standard_form(lp: LinearProgram):
             nstd += 1
         else:
             var_terms.append([(nstd, 1), (nstd + 1, -1)])
-            var_shift.append(_ZERO)
+            var_shift.append(0)
             nstd += 2
 
-    def expand(row):
+    def expand(row, rel, b):
         # Each standard index belongs to exactly one original variable, so
         # every entry is set once and nothing is accumulated.
         out = {}
-        const = _ZERO
         for k, a in enumerate(row):
             if not a:
                 continue
             shift = var_shift[k]
             if shift:
-                const += a * shift
+                b -= a * shift
             for idx, sign in var_terms[k]:
                 out[idx] = a if sign > 0 else -a
-        return out, const
+        return out, rel, b
 
-    c = [_ZERO] * nstd
-    for idx, a in expand(lp.objective)[0].items():
-        c[idx] = a
-    rows = []
-    for row, rel, b in lp.constraints:
-        coeffs, const = expand(row)
-        rows.append((coeffs, rel, b - const))
-    rows.extend(extra_rows)
+    objective = expand(lp.objective, None, 0)[0]
+    c = [objective.get(idx, 0) for idx in range(nstd)]
+    rows = [expand(*row) for row in lp.constraints] + extra_rows
 
-    def recover(y):
-        xs = []
-        for k in range(n):
-            val = var_shift[k]
-            for idx, sign in var_terms[k]:
-                val += sign * y[idx]
-            xs.append(val)
-        return xs
+    shift_den = lcm(*(s.denominator for s in var_shift))
+    owner = {idx: (k, sign) for k, terms in enumerate(var_terms)
+             for idx, sign in terms}
+
+    def recover(tableau, basis):
+        # A basic standard variable is its row's rhs / factor.
+        basic = [(b, row) for b, row in zip(basis, tableau)
+                 if b < nstd and row[-1]]
+        d = lcm(shift_den, *(row[b] for b, row in basic))
+        x = [s.numerator * (d // s.denominator) for s in var_shift]
+        for b, row in basic:
+            k, sign = owner[b]
+            x[k] += sign * row[-1] * (d // row[b])
+        return x, d
 
     return c, nstd, rows, expand, recover
 
@@ -205,11 +201,8 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     if _run(tableau, basis, z) == UNBOUNDED:
         return LpResult(status=UNBOUNDED)
     while True:
-        y = [0] * (len(z) - 1)
-        for r, row in enumerate(tableau):
-            y[basis[r]] = Fraction(row[-1], row[basis[r]])
-        xs = recover(y)
-        cuts = lp.separate(xs) if lp.separate is not None else None
+        x, d = recover(tableau, basis)
+        cuts = lp.separate(x, d) if lp.separate is not None else None
         if not cuts:
             break
         new = []
@@ -218,20 +211,19 @@ def lp_solve(lp: LinearProgram) -> LpResult:
                 raise ValueError("constraint dimension mismatch")
             if rel == EQ:
                 raise ValueError("separated rows must be inequalities")
-            coeffs, const = expand([Fraction(v) if v else v for v in a])
-            new.append((coeffs, rel, Fraction(b) - const))
+            new.append(expand(a, rel, b))
         slacks.extend(range(len(z) - 1, len(z) - 1 + len(new)))
         _append(tableau, basis, z, new)
         if _dual(tableau, basis, z) == INFEASIBLE:
             return LpResult(status=INFEASIBLE)
-    value = sum((ci * xi for ci, xi in zip(lp.objective, xs) if ci and xi),
-                _ZERO)
+    value = Fraction(sum(ci * v for ci, v in zip(lp.objective, x) if v), d)
     # A row is tight exactly when its slack is zero: nonbasic, or basic
     # with rhs 0. Both slacks of an EQ row are zero at every feasible point.
     row_of = {col: row for col, row in zip(basis, tableau)}
     tight = [k for k, s in enumerate(slacks)
              if s not in row_of or not row_of[s][-1]]
-    return LpResult(status=OPTIMAL, optimal_value=value, solution=xs,
+    return LpResult(status=OPTIMAL, optimal_value=value,
+                    solution=[Fraction(v, d) for v in x],
                     tight_constraints=tight)
 
 

@@ -151,6 +151,11 @@ def test_decode_feldman(tmp_path, capsys):
     assert run(tmp_path, "decode", "feldman", "--q", "2") == 0
     out = capsys.readouterr().out
     assert out.startswith("integral")
+    # A fractional polytope optimum, over a common denominator of 3.
+    assert run(tmp_path, "decode", "feldman", "--q", "2",
+               "--flips", "0,1,3") == 0
+    assert capsys.readouterr().out == \
+        "fractional 2/3 2/3 1/3 2/3 1/3 1/3 1/3\n"
 
 
 def test_effective_subcommands(tmp_path):

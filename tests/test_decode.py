@@ -153,6 +153,35 @@ def test_cutting_planes_match_full_lp_q4(H4):
         _assert_matches_full_lp(H4, sorted(rng.sample(range(21), e)))
 
 
+def test_oracles_read_ints_over_a_common_denominator(H2, H4, monkeypatch):
+    # Both decode oracles get ints x and a positive int d, and the final
+    # solution is the last x / d.
+    scales = []
+
+    def recording_solve(lp):
+        separate, seen = lp.separate, []
+
+        def recording(x, d):
+            assert all(type(v) is int for v in x) and type(d) is int and d > 0
+            seen.append((x, d))
+            return separate(x, d)
+        lp.separate = recording
+        res = lp_solve(lp)
+        x, d = seen[-1]
+        assert res.solution == [Fraction(v, d) for v in x]
+        scales.extend(d for _, d in seen)
+        return res
+
+    monkeypatch.setattr(decode, "lp_solve", recording_solve)
+    rng = random.Random(17)
+    for H in (H2, H4):
+        for e in (1, 1, 2, 2, 3, 3):
+            llr = llr_from_flips(H.n_cols, rng.sample(range(H.n_cols), e), 1)
+            zero_optimal(H, llr)
+            feldman_lp_decode(H, llr)
+    assert max(scales) > 1
+
+
 def test_odd_set_separation_is_exact():
     rng = random.Random(7)
     for _ in range(600):

@@ -106,6 +106,24 @@ def test_alist_index_out_of_range(index):
         ParityCheck.from_alist(bad)
 
 
+def test_alist_column_lists_must_match_rows():
+    # Rows {1, 2} and {2, 3} (1-based), but the column lists put column 1
+    # in row 2 and column 3 in row 1.
+    text = ParityCheck([[0, 1], [1, 2]], 3).to_alist()
+    assert text.splitlines()[4:7] == ["1", "1 2", "2"]
+    bad = text.replace("\n1\n1 2\n2\n", "\n2\n1 2\n1\n", 1)
+    with pytest.raises(ValueError,
+                       match=r"alist column 1 lists rows \[2\]; "
+                             r"the rows say \[1\]"):
+        ParityCheck.from_alist(bad)
+
+
+def test_alist_rejects_trailing_fields():
+    text = ParityCheck([[0, 1], [1, 2]], 3).to_alist()
+    with pytest.raises(ValueError, match="alist has '9' after the row lists"):
+        ParityCheck.from_alist(text + "9 9 9\n")
+
+
 def test_dense_text(H2):
     lines = H2.to_dense_text().strip().splitlines()
     assert len(lines) == 7

@@ -165,6 +165,10 @@ def test_jsonl_rejects_ray_length_mismatch(tmp_path, rays2):
     ['[1, 1]', '{"ray": [1]}'],
     ['{"h_matrix_id": "x", "complete": true, "n": 1}', '{"ray": 1}'],
     ['not json'],
+    ['{"h_matrix_id": 7, "complete": true, "n": 1}', '{"ray": [1]}'],
+    ['{"h_matrix_id": "x", "complete": "false", "n": 1}', '{"ray": [1]}'],
+    ['{"h_matrix_id": "x", "complete": true, "n": "1"}', '{"ray": [1]}'],
+    ['{"h_matrix_id": "x", "complete": true, "n": -1}'],
 ])
 def test_jsonl_rejects_malformed_files(tmp_path, lines):
     path = tmp_path / "bad.jsonl"

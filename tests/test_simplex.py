@@ -261,7 +261,8 @@ def test_duality_bound_on_cone_slice(H2):
 def _hidden_row_oracle(hidden, most_violated_only):
     """An oracle over the hidden rows: the ones x violates, or only the
     most violated of them."""
-    def separate(x):
+    def separate(x, d):
+        x = [Fraction(v, d) for v in x]
         excess = []
         for row, rel, b in hidden:
             lhs = sum(a * v for a, v in zip(row, x))
@@ -278,8 +279,8 @@ def _added_rows(rows, separate):
     """Wrap separate so that every row it returns is recorded in order."""
     added = list(rows)
 
-    def recording(x):
-        cuts = separate(x)
+    def recording(x, d):
+        cuts = separate(x, d)
         added.extend(cuts)
         return cuts
     return added, recording
@@ -343,8 +344,8 @@ def test_separated_row_can_make_the_lp_infeasible():
     # finds no entering column.
     calls = []
 
-    def separate(x):
-        calls.append(x)
+    def separate(x, d):
+        calls.append([Fraction(v, d) for v in x])
         return [([1, 0], GE, 2)] if len(calls) == 1 else []
 
     res = lp_solve(LinearProgram([1, 1], [([1, 1], GE, Fraction(1, 2))],
@@ -356,7 +357,8 @@ def test_separated_row_can_make_the_lp_infeasible():
 def test_separated_rows_in_original_variables():
     # Shifted, upper-bounded and free variables: a cut is written in the
     # original variables, and its rhs absorbs the bound shifts.
-    def separate(x):
+    def separate(x, d):
+        x = [Fraction(v, d) for v in x]
         cuts = []
         if x[0] + x[1] < 3:
             cuts.append(([1, 1, 0], GE, 3))
@@ -375,6 +377,28 @@ def test_separated_rows_in_original_variables():
     assert res.tight_constraints == [1, 2]
 
 
+def test_oracle_reads_ints_over_a_common_denominator():
+    # Fractional bound shifts, an upper-bounded and a free variable: each
+    # oracle call gets ints x and a positive int d with x / d the optimum
+    # in the original variables, before and after a cut.
+    calls = []
+
+    def separate(x, d):
+        assert all(type(v) is int for v in x) and type(d) is int and d > 0
+        calls.append([Fraction(v, d) for v in x])
+        return [([2, 0, 1], GE, 1)] if 2 * x[0] + x[2] < d else []
+
+    bounds = [(Fraction(1, 3), Fraction(7, 2)), (None, Fraction(5, 4)),
+              (None, None)]
+    rows = [([-1, 0, 1], GE, Fraction(-5, 2))]
+    res = lp_solve(LinearProgram([1, -1, 1], rows, bounds, separate=separate))
+    assert res.status == OPTIMAL
+    assert calls == [[Fraction(1, 3), Fraction(5, 4), Fraction(-13, 6)],
+                     [Fraction(7, 6), Fraction(5, 4), Fraction(-4, 3)]]
+    assert res.solution == calls[-1]
+    assert res.optimal_value == Fraction(-17, 12)
+
+
 def test_dimensions_are_validated():
     with pytest.raises(ValueError, match="constraint dimension mismatch"):
         LinearProgram([1, 1], [([1], GE, 0)])
@@ -385,7 +409,7 @@ def test_dimensions_are_validated():
 def test_separated_rows_are_validated():
     # An oracle row must be an inequality over all the variables.
     for cut in (([1], EQ, Fraction(1, 2)), ([1, 1], GE, 1)):
-        lp = LinearProgram([1], [], [(0, 1)], separate=lambda x: [cut])
+        lp = LinearProgram([1], [], [(0, 1)], separate=lambda x, d: [cut])
         with pytest.raises(ValueError):
             lp_solve(lp)
 
