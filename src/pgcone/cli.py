@@ -144,6 +144,7 @@ def cmd_weights_compute(args):
 
 def cmd_weights_bounds(args):
     omega = _load_vector(args.vector)
+    thm5 = None if args.q is None else weights.bound_thm5(args.q)
     t = type_of(omega)
     aw = weights.awgnc_pw(omega)
     print(f"awgnc_pw {_rat(aw)} ({_fmt(aw)})")
@@ -155,11 +156,10 @@ def cmd_weights_bounds(args):
         print(f"Cor3(eta={_rat(eta)}) {_rat(rep.value)} ({_fmt(rep.value)})")
     rep = weights.bound_cor4(omega)
     print(f"Cor4 {_rat(rep.value)} ({_fmt(rep.value)})")
-    if args.q is not None:
-        value = weights.bound_thm5(args.q)
+    if thm5 is not None:
         note = "applicable" if weights.thm5_applicable(t, args.q) \
             else "not applicable to this type"
-        print(f"Thm5(q={args.q}) {_rat(value)} ({_fmt(value)}) [{note}]")
+        print(f"Thm5(q={args.q}) {_rat(thm5)} ({_fmt(thm5)}) [{note}]")
     return 0
 
 

@@ -74,9 +74,10 @@ def zero_optimal(H: ParityCheck, llr: LLRVector, constraints=None) -> DecodeOutc
     the argmax of omega on I_j, and only when 2 omega_i > sum(omega_{I_j}).
     ``lp_solve`` appends those rows and re-enters by dual simplex from the
     last basis, until no cone row is violated; the optimum is then feasible
-    for the full cone LP, so it is that LP's optimum. Each cut's dense row
-    is built when the oracle returns it. ``constraints`` is ignored; it is
-    accepted only because older callers pass ``cone_constraints(H)`` there.
+    for the full cone LP, so it is that LP's optimum. Each cut's row map
+    (``cone._row``) is built when the oracle returns it. ``constraints`` is
+    ignored; it is accepted only because older callers pass
+    ``cone_constraints(H)`` there.
     """
     n = H.n_cols
 
@@ -88,9 +89,9 @@ def zero_optimal(H: ParityCheck, llr: LLRVector, constraints=None) -> DecodeOutc
                 cuts.append((_row(H, ("cone", j, i)), GE, 0))
         return cuts
 
-    res = lp_solve(LinearProgram(objective=list(llr.entries),
-                                 constraints=[([1] * n, EQ, 1)],
-                                 bounds=[(0, None)] * n, separate=separate))
+    res = lp_solve(LinearProgram(list(llr.entries),
+                                 [(dict.fromkeys(range(n), 1), EQ, 1)],
+                                 [(0, None)] * n, separate=separate))
     if res.status != OPTIMAL:
         raise LpNotOptimal(f"cone-slice LP ended {res.status}")
     value = res.optimal_value
@@ -150,10 +151,8 @@ def feldman_lp_decode(H: ParityCheck, llr: LLRVector):
         for support in H.rows:
             S, excess = _odd_set_cut(support, x, d)
             if excess > 0:
-                coeffs = [0] * n
-                for i in support:
-                    coeffs[i] = 1 if i in S else -1
-                cuts.append((coeffs, LE, len(S) - 1))
+                cuts.append(({i: 1 if i in S else -1 for i in support},
+                             LE, len(S) - 1))
         return cuts
 
     res = lp_solve(LinearProgram(objective=list(llr.entries), constraints=[],

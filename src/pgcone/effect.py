@@ -83,7 +83,7 @@ def awgnc_first_kind(rayset: RaySet, omega) -> EffectivenessReport:
     target = PseudoCodeword(omega).canonical
     others = [r.canonical for r in rayset if r.canonical != target]
     n = len(target)
-    rows = [(list(o), GE, 0) for o in others]
+    rows = [({i: v for i, v in enumerate(o) if v}, GE, 0) for o in others]
     lp = LinearProgram(objective=list(target), constraints=rows,
                        bounds=[(-1, 1)] * n)
     res = lp_solve(lp)

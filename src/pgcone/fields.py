@@ -107,11 +107,11 @@ class Field:
         return f"Field(s={self.s}, poly=0b{self.primitive_poly:b})"
 
 
-def field_new(s, primitive_poly=None):
-    """Construct GF(2^s); raises RejectedPolynomial on a bad polynomial."""
+def field_new(s):
+    """Construct GF(2^s) on its built-in primitive polynomial."""
     if not 1 <= s <= 12:
         raise ValueError("supported range is 1 <= s <= 12")
-    return Field(s, primitive_poly)
+    return Field(s)
 
 
 class SubfieldEmbedding:

@@ -125,16 +125,16 @@ class AxiomReport:
 
 def _plane_field(q):
     s = q.bit_length() - 1
-    if q != 1 << s or s not in SUPPORTED_S:
+    if q < 2 or q & (q - 1) or s not in SUPPORTED_S:
         raise UnsupportedQ(f"q={q} is not a supported power of two")
     return s
 
 
-def build_plane(q, primitive_poly=None):
+def build_plane(q):
     """Build PG(2, q), q = 2^s, from the trace-zero Singer difference set."""
     s = _plane_field(q)
     small = field_new(s)
-    big = field_new(3 * s, primitive_poly)
+    big = field_new(3 * s)
     emb = SubfieldEmbedding(small, big)
     n = q * q + q + 1
     d_set = []

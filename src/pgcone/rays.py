@@ -113,8 +113,8 @@ def enumerate_rays(H: ParityCheck, budget: Budget = None, seed=None) -> RaySet:
     and minimality, whether the run completed or not.
     """
     n = H.n_cols
-    dense = list(cone_constraints(H).values())
-    processed = dense[-n:] + [dense[k] for k in insertion_order(H, seed)]
+    cs = list(cone_constraints(H).values())
+    processed = cs[-n:] + [cs[k] for k in insertion_order(H, seed)]
     full = (1 << n) - 1
     rays = {_unit(n, i): full ^ (1 << i) for i in range(n)}
     max_seconds = budget.max_seconds if budget is not None else None
@@ -127,11 +127,11 @@ def enumerate_rays(H: ParityCheck, budget: Budget = None, seed=None) -> RaySet:
             time.monotonic() - start > max_seconds
 
     for step in range(n, len(processed)):
-        terms = [(i, c) for i, c in enumerate(processed[step]) if c]
+        row = processed[step]
         bit = 1 << step
         keep, pos, neg = {}, [], []
         for r, mask in rays.items():
-            v = sum(c * r[i] for i, c in terms)
+            v = sum(c * r[i] for i, c in row.items())
             if v > 0:
                 keep[r] = mask
                 pos.append((r, mask, v))
@@ -225,7 +225,8 @@ def support_guided_rays(H: ParityCheck) -> RaySet:
         for S in combinations(range(n), size):
             if not is_stopping_set(H, S):
                 continue
-            restricted = sorted({tuple(a[i] for i in S) for a in cone_rows})
+            restricted = sorted({tuple(a.get(i, 0) for i in S)
+                                 for a in cone_rows})
             gens = _rank_deficient_solutions(restricted, size)
             for vec in {v for v in gens if min(v) > 0}:
                 full = [0] * n

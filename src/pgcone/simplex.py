@@ -30,11 +30,11 @@ An LP may carry a separation oracle, ``separate(x, d)``, called on each
 optimum x / d: x has one int per original variable, d > 0 is the lcm of
 the bound shifts' denominators and the factors of the rows of nonzero
 basic standard variables. It returns the rows x / d violates, in
-``constraints`` form (inequalities with int or Fraction entries), or
-nothing once x / d is feasible for the whole family; the loop ends only
-then. The rows enter the final tableau as above. The reduced costs are
-untouched, so the basis stays dual feasible, and dual simplex restores
-primal feasibility.
+``constraints`` form (inequalities whose row maps hold int or Fraction
+coefficients), or nothing once x / d is feasible for the whole family; the
+loop ends only then. The rows enter the final tableau as above. The
+reduced costs are untouched, so the basis stays dual feasible, and dual
+simplex restores primal feasibility.
 """
 
 from dataclasses import dataclass, field
@@ -54,8 +54,9 @@ INFEASIBLE = "Infeasible"
 
 @dataclass
 class LinearProgram:
-    """Minimize objective . x subject to rows (a, rel, b) and optional
-    per-variable (lower, upper) bounds; a bound of None means unbounded.
+    """Minimize objective . x (a list) subject to rows (a, rel, b), each a
+    a {variable: coefficient} map without zeros, and optional per-variable
+    (lower, upper) bounds; a bound of None means unbounded.
     ``separate(x, d)``, when given, returns the rows of a larger family
     that the optimum x / d violates (see the module docstring)."""
     objective: list
@@ -66,7 +67,7 @@ class LinearProgram:
     def __post_init__(self):
         self.objective = [Fraction(c) for c in self.objective]
         self.constraints = [
-            ([Fraction(a) for a in row], rel, Fraction(b))
+            ({k: Fraction(a) for k, a in row.items()}, rel, Fraction(b))
             for row, rel, b in self.constraints
         ]
         n = len(self.objective)
@@ -79,7 +80,7 @@ class LinearProgram:
                 for lo, hi in self.bounds
             ]
         for row, _, _ in self.constraints:
-            if len(row) != n:
+            if not all(0 <= k < n for k in row):
                 raise ValueError("constraint dimension mismatch")
         if len(self.bounds) != n:
             raise ValueError("bounds dimension mismatch")
@@ -96,11 +97,11 @@ class LpResult:
 def _to_standard_form(lp: LinearProgram):
     """Rewrite as min c.y, A y (rel) b with y >= 0.
 
-    Returns (c, nstd, rows, expand, recover): rows hold their
-    coefficients as a sparse {std index: value} dict, expand maps a row
-    (a, rel, b) in the original variables to that form, its rhs less the
-    constant the bound shifts add, and recover maps a tableau's basic
-    solution to (x, d), the original variables as x / d (module docstring).
+    Returns (c, nstd, rows, expand, recover): rows hold their coefficients
+    as a {std index: value} map, expand maps a row (a, rel, b) in the
+    original variables to that form (its rhs less the constant the bound
+    shifts add; ValueError on a variable out of range), and recover maps a
+    tableau's basic solution to (x, d), the original variables as x / d.
     """
     var_terms = []   # per original var: list of (std index, sign)
     var_shift = []   # constant added to the variable expression
@@ -123,13 +124,15 @@ def _to_standard_form(lp: LinearProgram):
             var_shift.append(0)
             nstd += 2
 
+    n = len(var_shift)
+
     def expand(row, rel, b):
         # Each standard index belongs to exactly one original variable, so
         # every entry is set once and nothing is accumulated.
         out = {}
-        for k, a in enumerate(row):
-            if not a:
-                continue
+        for k, a in row.items():
+            if not 0 <= k < n:
+                raise ValueError("constraint dimension mismatch")
             shift = var_shift[k]
             if shift:
                 b -= a * shift
@@ -137,7 +140,7 @@ def _to_standard_form(lp: LinearProgram):
                 out[idx] = a if sign > 0 else -a
         return out, rel, b
 
-    objective = expand(lp.objective, None, 0)[0]
+    objective = expand(dict(enumerate(lp.objective)), None, 0)[0]
     c = [objective.get(idx, 0) for idx in range(nstd)]
     rows = [expand(*row) for row in lp.constraints] + extra_rows
 
@@ -207,8 +210,6 @@ def lp_solve(lp: LinearProgram) -> LpResult:
             break
         new = []
         for a, rel, b in cuts:
-            if len(a) != len(lp.objective):
-                raise ValueError("constraint dimension mismatch")
             if rel == EQ:
                 raise ValueError("separated rows must be inequalities")
             new.append(expand(a, rel, b))

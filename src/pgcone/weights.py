@@ -100,10 +100,8 @@ def bound_cor3(t: TypeVector, eta) -> BoundReport:
     eta = Fraction(eta)
     if eta == 0:
         raise ZeroEta("eta must be nonzero")
-    betas = {k: k * (2 * eta - k) / (eta * eta) for k in t.counts}
+    betas = {k: beta_coefficient(k, eta) for k in t.counts}
     value = sum(betas[k] * v for k, v in t.counts.items())
-    if not t.counts:
-        value = Fraction(0)
     return BoundReport("Cor3", Fraction(value),
                        parameters={"eta": eta, "beta": betas})
 
@@ -125,15 +123,21 @@ def bound_cor4(omega) -> BoundReport:
     return BoundReport("Cor4", value, parameters={"r": r, "supp": len(vec)})
 
 
+def _log2(q):
+    """s with q = 2^s; ValueError unless q is a power of two, q >= 2."""
+    if q < 2 or q & (q - 1):
+        raise ValueError(f"q must be a power of two, q >= 2, got {q}")
+    return q.bit_length() - 1
+
+
 def thm5_applicable(t: TypeVector, q) -> bool:
-    """Only values {0,1,2}, t_1 >= q+2 and t_2 >= 1."""
-    if any(k not in (1, 2) for k in t.counts):
-        return False
-    return t.get(1) >= q + 2 and t.get(2) >= 1
+    """Only values {0,1,2}, t_1 >= q+2 and t_2 >= 1: the m = 2 case."""
+    return generalized_applicable(t, q, 2)
 
 
 def bound_thm5(q) -> Fraction:
-    return Fraction(4 * (q + 2), 3)
+    """4(q+2)/3: the m = 2 case of bound_generalized."""
+    return bound_generalized(q, 2)
 
 
 def generalized_applicable(t: TypeVector, q, m) -> bool:
@@ -143,6 +147,7 @@ def generalized_applicable(t: TypeVector, q, m) -> bool:
     what the bound's proof actually consumes; counting mass at other odd
     values would admit scaled codewords that violate the bound.
     """
+    _log2(q)
     if m < 2:
         raise BadM("m must be at least 2")
     for k in t.counts:
@@ -154,6 +159,7 @@ def generalized_applicable(t: TypeVector, q, m) -> bool:
 
 
 def bound_generalized(q, m) -> Fraction:
+    _log2(q)
     if m < 2:
         raise BadM("m must be at least 2")
     return Fraction(m * m * (q + 2), m * m - m + 1)
@@ -162,8 +168,5 @@ def bound_generalized(q, m) -> Fraction:
 def conjectured_wp(q) -> Fraction:
     """AWGNC pseudo-weight of the conjectured type t_1 = q+2,
     t_2 = q/2 + s + 1 family."""
-    s = q.bit_length() - 1
-    if q != 1 << s or s < 1:
-        raise ValueError("q must be a power of two, q >= 2")
-    f = Fraction(s, q + 2)
+    f = Fraction(_log2(q), q + 2)
     return Fraction(4, 3) * (q + 2) * (1 + f) / (1 + f / (3 * (1 + f)))

@@ -215,6 +215,21 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_q_is_validated_before_any_output(tmp_path, capsys):
+    # q = 0 once failed with "negative shift count", and the Thm5 bound was
+    # printed for any q; both now exit 1 with a message naming q.
+    assert run(tmp_path, "plane", "check", "--q", "0") == 1
+    err = capsys.readouterr().err
+    assert err == "error: q=0 is not a supported power of two\n"
+    for q in ("0", "3"):
+        assert run(tmp_path, "weights", "bounds",
+                   "--vector", "1,1,1,1,2,2,2", "--q", q) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: q must be a power of two, q >= 2, got {q}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("cone", "member", "--q", "2", "--vector", "1,-1,0,0,0,0,0"),
     ("cone", "member", "--q", "2", "--vector", "1,abc"),

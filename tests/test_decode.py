@@ -95,10 +95,10 @@ def test_lp_status_is_checked(H2, monkeypatch):
 def _full_cone_value(H, llr):
     """Reference: the cone-slice LP with every cone row up front."""
     n = H.n_cols
-    rows = [(list(coeffs), GE, 0)
+    rows = [(coeffs, GE, 0)
             for label, coeffs in cone_constraints(H).items()
             if label[0] == "cone"]
-    rows.append(([1] * n, EQ, 1))
+    rows.append((dict.fromkeys(range(n), 1), EQ, 1))
     res = lp_solve(LinearProgram(list(llr.entries), rows, [(0, None)] * n))
     assert res.status == OPTIMAL
     return res.optimal_value
@@ -111,9 +111,7 @@ def _full_polytope_value(H, llr):
     for support in H.rows:
         for size in range(1, len(support) + 1, 2):
             for S in combinations(support, size):
-                coeffs = [0] * n
-                for i in support:
-                    coeffs[i] = 1 if i in S else -1
+                coeffs = {i: 1 if i in S else -1 for i in support}
                 rows.append((coeffs, LE, size - 1))
     res = lp_solve(LinearProgram(list(llr.entries), rows, [(0, 1)] * n))
     assert res.status == OPTIMAL

@@ -31,6 +31,14 @@ def test_unsupported_q():
             build_plane(q)
 
 
+def test_q_below_two_is_unsupported():
+    # q is checked for q >= 2 and a power of two before any shift, so q = 0
+    # and negative q raise UnsupportedQ, not a negative-shift ValueError.
+    for q in (0, 1, -1, -2, -4):
+        with pytest.raises(UnsupportedQ, match=f"q={q} is not a supported"):
+            build_plane(q)
+
+
 def test_axioms_pass(plane2, plane4, plane8):
     for p in (plane2, plane4, plane8):
         assert verify_axioms(p).ok

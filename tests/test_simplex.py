@@ -11,8 +11,15 @@ from pgcone.simplex import (EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED,
                             LinearProgram, lp_solve)
 
 
+def _sparse(rows):
+    """Rows (a, rel, b) with a dense list a, as LinearProgram takes them:
+    a as a {variable: coefficient} map that holds no zero."""
+    return [({k: v for k, v in enumerate(a) if v}, rel, b)
+            for a, rel, b in rows]
+
+
 def test_simple_lower_bound():
-    res = lp_solve(LinearProgram([1], [([1], GE, 3)]))
+    res = lp_solve(LinearProgram([1], [({0: 1}, GE, 3)]))
     assert res.status == OPTIMAL
     assert res.optimal_value == 3
     assert res.solution == [3]
@@ -24,19 +31,20 @@ def test_unbounded():
 
 
 def test_infeasible():
-    res = lp_solve(LinearProgram([0], [([1], GE, 1), ([1], LE, 0)]))
+    res = lp_solve(LinearProgram([0], [({0: 1}, GE, 1), ({0: 1}, LE, 0)]))
     assert res.status == INFEASIBLE
 
 
 def test_equality_constraint():
-    res = lp_solve(LinearProgram([1, 1], [([1, 1], EQ, 2), ([1, -1], GE, 0)],
+    res = lp_solve(LinearProgram([1, 1], [({0: 1, 1: 1}, EQ, 2),
+                                          ({0: 1, 1: -1}, GE, 0)],
                                  bounds=[(0, None), (0, None)]))
     assert res.status == OPTIMAL
     assert res.optimal_value == 2
 
 
 def test_upper_bounds_via_box():
-    res = lp_solve(LinearProgram([-1, -1], [([1, 2], LE, 3)],
+    res = lp_solve(LinearProgram([-1, -1], [({0: 1, 1: 2}, LE, 3)],
                                  bounds=[(0, 1), (0, 1)]))
     assert res.status == OPTIMAL
     assert res.optimal_value == -2
@@ -44,26 +52,27 @@ def test_upper_bounds_via_box():
 
 
 def test_free_variable_split():
-    res = lp_solve(LinearProgram([1], [([1], GE, -5)]))
+    res = lp_solve(LinearProgram([1], [({0: 1}, GE, -5)]))
     assert res.status == OPTIMAL
     assert res.optimal_value == -5
 
 
 def test_exact_fractions():
     res = lp_solve(LinearProgram(
-        [Fraction(1, 3)], [([Fraction(2, 7)], GE, Fraction(5, 11))],
+        [Fraction(1, 3)], [({0: Fraction(2, 7)}, GE, Fraction(5, 11))],
         bounds=[(0, None)]))
     assert res.optimal_value == Fraction(1, 3) * Fraction(35, 22)
 
 
 def test_tight_constraint_report():
-    res = lp_solve(LinearProgram([1, 0], [([1, 0], GE, 2), ([0, 1], GE, 0)],
+    res = lp_solve(LinearProgram([1, 0], [({0: 1}, GE, 2), ({1: 1}, GE, 0)],
                                  bounds=[(0, None), (0, None)]))
     assert 0 in res.tight_constraints
 
 
 def test_determinism():
-    lp_args = ([1, 2, -1], [([1, 1, 1], GE, 1), ([1, -1, 0], LE, 2)],
+    lp_args = ([1, 2, -1],
+               [({0: 1, 1: 1, 2: 1}, GE, 1), ({0: 1, 1: -1}, LE, 2)],
                [(0, 3)] * 3)
     first = lp_solve(LinearProgram(*lp_args))
     second = lp_solve(LinearProgram(*lp_args))
@@ -137,7 +146,7 @@ def test_against_vertex_enumeration_oracle():
             b = Fraction(rng.randint(-4, 4))
             rows.append((a, rel, b))
         bounds = [(Fraction(-3), Fraction(3))] * n
-        res = lp_solve(LinearProgram(list(c), list(rows), list(bounds)))
+        res = lp_solve(LinearProgram(list(c), _sparse(rows), list(bounds)))
         expected = _brute_force_box_min(c, rows, bounds)
         if expected is None:
             assert res.status == INFEASIBLE
@@ -172,7 +181,7 @@ def test_slack_start_and_redundant_rows_against_oracle():
             rows.append((a, EQ, Fraction(0)))
         rng.shuffle(rows)
         bounds = [(Fraction(-3), Fraction(3))] * n
-        res = lp_solve(LinearProgram(list(c), list(rows), list(bounds)))
+        res = lp_solve(LinearProgram(list(c), _sparse(rows), list(bounds)))
         expected = _brute_force_box_min(c, rows, bounds)
         if expected is None:
             assert res.status == INFEASIBLE
@@ -193,8 +202,8 @@ def test_beale_cycling_lp():
     F = Fraction
     res = lp_solve(LinearProgram(
         [F(-3, 4), 20, F(-1, 2), 6],
-        [([F(1, 4), -8, -1, 9], LE, 0), ([F(1, 2), -12, F(-1, 2), 3], LE, 0),
-         ([0, 0, 1, 0], LE, 1)],
+        [({0: F(1, 4), 1: -8, 2: -1, 3: 9}, LE, 0),
+         ({0: F(1, 2), 1: -12, 2: F(-1, 2), 3: 3}, LE, 0), ({2: 1}, LE, 1)],
         bounds=[(0, None)] * 4))
     assert res.status == OPTIMAL
     assert res.optimal_value == Fraction(-5, 4)
@@ -220,7 +229,7 @@ def test_fractional_data_against_oracle():
             rows.insert(rng.randint(0, len(rows)),
                         ([frac() for _ in range(n)], EQ, frac()))
         bounds = [tuple(sorted((frac(), frac()))) for _ in range(n)]
-        res = lp_solve(LinearProgram(list(c), list(rows), list(bounds)))
+        res = lp_solve(LinearProgram(list(c), _sparse(rows), list(bounds)))
         expected = _brute_force_box_min(c, rows, bounds)
         if expected is None:
             assert res.status == INFEASIBLE
@@ -244,10 +253,10 @@ def test_duality_bound_on_cone_slice(H2):
     from pgcone.rays import enumerate_rays
     rng = random.Random(23)
     rays = [r.entries for r in enumerate_rays(H2)]
-    rows = [(list(coeffs), GE, 0)
+    rows = [(coeffs, GE, 0)
             for label, coeffs in cone_constraints(H2).items()
             if label[0] == "cone"]
-    rows.append(([1] * 7, EQ, 1))
+    rows.append((dict.fromkeys(range(7), 1), EQ, 1))
     for _ in range(5):
         c = [Fraction(rng.randint(-3, 3)) for _ in range(7)]
         res = lp_solve(LinearProgram(list(c), list(rows),
@@ -259,8 +268,8 @@ def test_duality_bound_on_cone_slice(H2):
 
 
 def _hidden_row_oracle(hidden, most_violated_only):
-    """An oracle over the hidden rows: the ones x violates, or only the
-    most violated of them."""
+    """An oracle over the hidden rows (dense): the ones x violates, or only
+    the most violated of them, as row maps."""
     def separate(x, d):
         x = [Fraction(v, d) for v in x]
         excess = []
@@ -270,18 +279,20 @@ def _hidden_row_oracle(hidden, most_violated_only):
             if over > 0:
                 excess.append((over, (row, rel, b)))
         if most_violated_only and excess:
-            return [max(excess, key=lambda e: e[0])[1]]
-        return [row for _, row in excess]
+            return _sparse([max(excess, key=lambda e: e[0])[1]])
+        return _sparse([row for _, row in excess])
     return separate
 
 
 def _added_rows(rows, separate):
-    """Wrap separate so that every row it returns is recorded in order."""
+    """Wrap separate so that every row it returns is recorded in order,
+    as a dense row."""
     added = list(rows)
 
     def recording(x, d):
         cuts = separate(x, d)
-        added.extend(cuts)
+        added.extend(([a.get(k, 0) for k in range(len(x))], rel, b)
+                     for a, rel, b in cuts)
         return cuts
     return added, recording
 
@@ -320,9 +331,10 @@ def test_separated_rows_match_the_full_lp():
             rows.append((x, EQ, sum(ai * pi for ai, pi in zip(x, p))))
         added, separate = _added_rows(
             rows, _hidden_row_oracle(hidden, trial % 2 == 1))
-        res = lp_solve(LinearProgram(list(c), list(rows), list(bounds),
+        res = lp_solve(LinearProgram(list(c), _sparse(rows), list(bounds),
                                      separate=separate))
-        full = lp_solve(LinearProgram(list(c), rows + hidden, list(bounds)))
+        full = lp_solve(LinearProgram(list(c), _sparse(rows + hidden),
+                                      list(bounds)))
         assert res.status == full.status
         kinds[res.status] += 1
         rounds += len(added) - len(rows)
@@ -346,9 +358,9 @@ def test_separated_row_can_make_the_lp_infeasible():
 
     def separate(x, d):
         calls.append([Fraction(v, d) for v in x])
-        return [([1, 0], GE, 2)] if len(calls) == 1 else []
+        return [({0: 1}, GE, 2)] if len(calls) == 1 else []
 
-    res = lp_solve(LinearProgram([1, 1], [([1, 1], GE, Fraction(1, 2))],
+    res = lp_solve(LinearProgram([1, 1], [({0: 1, 1: 1}, GE, Fraction(1, 2))],
                                  [(0, 1), (0, 1)], separate=separate))
     assert res.status == INFEASIBLE
     assert len(calls) == 1
@@ -361,13 +373,13 @@ def test_separated_rows_in_original_variables():
         x = [Fraction(v, d) for v in x]
         cuts = []
         if x[0] + x[1] < 3:
-            cuts.append(([1, 1, 0], GE, 3))
+            cuts.append(({0: 1, 1: 1}, GE, 3))
         if x[2] < x[0] - 4:
-            cuts.append(([-1, 0, 1], GE, -4))
+            cuts.append(({0: -1, 2: 1}, GE, -4))
         return cuts
 
     bounds = [(-2, 5), (None, 4), (None, None)]
-    res = lp_solve(LinearProgram([1, -2, 1], [([0, 0, 1], GE, -10)], bounds,
+    res = lp_solve(LinearProgram([1, -2, 1], [({2: 1}, GE, -10)], bounds,
                                  separate=separate))
     # Without the cuts the optimum is (-2, 4, -10), which violates both;
     # with them it is (-1, 4, -5), where both are tight.
@@ -386,11 +398,11 @@ def test_oracle_reads_ints_over_a_common_denominator():
     def separate(x, d):
         assert all(type(v) is int for v in x) and type(d) is int and d > 0
         calls.append([Fraction(v, d) for v in x])
-        return [([2, 0, 1], GE, 1)] if 2 * x[0] + x[2] < d else []
+        return [({0: 2, 2: 1}, GE, 1)] if 2 * x[0] + x[2] < d else []
 
     bounds = [(Fraction(1, 3), Fraction(7, 2)), (None, Fraction(5, 4)),
               (None, None)]
-    rows = [([-1, 0, 1], GE, Fraction(-5, 2))]
+    rows = [({0: -1, 2: 1}, GE, Fraction(-5, 2))]
     res = lp_solve(LinearProgram([1, -1, 1], rows, bounds, separate=separate))
     assert res.status == OPTIMAL
     assert calls == [[Fraction(1, 3), Fraction(5, 4), Fraction(-13, 6)],
@@ -400,15 +412,19 @@ def test_oracle_reads_ints_over_a_common_denominator():
 
 
 def test_dimensions_are_validated():
-    with pytest.raises(ValueError, match="constraint dimension mismatch"):
-        LinearProgram([1, 1], [([1], GE, 0)])
+    # A column past the last variable, and a negative one, which would
+    # otherwise index the last variable's bound shift.
+    for row in ({0: 1, 2: 1}, {-1: 1}):
+        with pytest.raises(ValueError, match="constraint dimension mismatch"):
+            LinearProgram([1, 1], [(row, GE, 0)])
     with pytest.raises(ValueError, match="bounds dimension mismatch"):
         LinearProgram([1], [], bounds=[(0, 1), (0, 1)])
 
 
 def test_separated_rows_are_validated():
-    # An oracle row must be an inequality over all the variables.
-    for cut in (([1], EQ, Fraction(1, 2)), ([1, 1], GE, 1)):
+    # An oracle row must be an inequality over the LP's variables only.
+    for cut in (({0: 1}, EQ, Fraction(1, 2)), ({0: 1, 1: 1}, GE, 1),
+                ({-1: 1}, GE, 1)):
         lp = LinearProgram([1], [], [(0, 1)], separate=lambda x, d: [cut])
         with pytest.raises(ValueError):
             lp_solve(lp)
@@ -449,7 +465,7 @@ def test_dual_degenerate_ties_terminate(monkeypatch):
         c = [0] * n if trial % 2 else [rng.randint(0, 1) for _ in range(n)]
         res = lp_solve(LinearProgram(c, [], [(0, 1)] * n,
                                      separate=_hidden_row_oracle(hidden, True)))
-        full = lp_solve(LinearProgram(c, hidden, [(0, 1)] * n))
+        full = lp_solve(LinearProgram(c, _sparse(hidden), [(0, 1)] * n))
         assert res.status == full.status
         if res.status == OPTIMAL:
             assert res.optimal_value == full.optimal_value

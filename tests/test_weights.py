@@ -197,6 +197,40 @@ def test_generalized():
     assert not generalized_applicable(TypeVector({1: 2, 3: 4}, 21), 4, 3)
 
 
+def test_thm5_is_the_generalized_pair_at_m2():
+    # Seeded types with values drawn from {1/2, 1, 2, 3}, so every clause
+    # of the hypothesis (values in {1, 2}, t_1 >= q + 2, t_2 >= 1) is
+    # met and missed.
+    rng = random.Random(13)
+    values = (Fraction(1, 2), 1, 2, 3)
+    seen = {True: 0, False: 0}
+    for _ in range(500):
+        q = rng.choice((2, 4, 8))
+        counts = {v: rng.randint(0, q + 4) for v in values
+                  if rng.random() < (0.9 if v in (1, 2) else 0.15)}
+        t = TypeVector(counts, sum(counts.values()) + rng.randint(0, 3))
+        applicable = thm5_applicable(t, q)
+        assert applicable == generalized_applicable(t, q, 2), (t, q)
+        # The hypothesis as Theorem 5 states it.
+        assert applicable == (set(t.counts) <= {1, 2} and t.get(1) >= q + 2
+                              and t.get(2) >= 1), (t, q)
+        seen[applicable] += 1
+    assert min(seen.values()) >= 50, seen
+    for q in (2, 4, 8, 16):
+        assert bound_thm5(q) == bound_generalized(q, 2)
+
+
+def test_bounds_reject_q_that_is_not_a_power_of_two():
+    t = TypeVector({1: 4, 2: 3}, 7)
+    for q in (0, 1, 3, 6, -2):
+        for call in (lambda: conjectured_wp(q), lambda: bound_thm5(q),
+                     lambda: thm5_applicable(t, q),
+                     lambda: bound_generalized(q, 3),
+                     lambda: generalized_applicable(t, q, 3)):
+            with pytest.raises(ValueError, match="power of two, q >= 2"):
+                call()
+
+
 def test_conjectured_wp():
     assert conjectured_wp(2) == Fraction(25, 4)
     assert conjectured_wp(4) == Fraction(128, 13)
