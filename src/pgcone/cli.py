@@ -186,11 +186,15 @@ def cmd_rays_histogram(args):
     return 0
 
 
-def cmd_decode_zero_opt(args):
+def _matrix_and_llr(args):
+    """The PG(2, q) matrix and the LLR vector of --flips at magnitude --L."""
     _, H = _plane_and_matrix(args)
     flips = [int(x) for x in args.flips.split(",")] if args.flips else []
-    llr = decode.llr_from_flips(H.n_cols, flips, args.L)
-    outcome = decode.zero_optimal(H, llr)
+    return H, decode.llr_from_flips(H.n_cols, flips, args.L)
+
+
+def cmd_decode_zero_opt(args):
+    outcome = decode.zero_optimal(*_matrix_and_llr(args))
     print(f"{outcome.status}; objective {_rat(outcome.objective)}")
     return 0
 
@@ -206,10 +210,7 @@ def cmd_decode_sweep(args):
 
 
 def cmd_decode_feldman(args):
-    _, H = _plane_and_matrix(args)
-    flips = [int(x) for x in args.flips.split(",")] if args.flips else []
-    llr = decode.llr_from_flips(H.n_cols, flips, args.L)
-    sol, integral = decode.feldman_lp_decode(H, llr)
+    sol, integral = decode.feldman_lp_decode(*_matrix_and_llr(args))
     print(("integral " if integral else "fractional ")
           + " ".join(_rat(x) for x in sol))
     return 0
@@ -228,23 +229,14 @@ def _load_rayset(args):
     return rs
 
 
-def cmd_effective_awgnc(args):
+def cmd_effective(args):
     rs = _load_rayset(args)
-    lines = []
-    for r in rs:
-        rep = effect.awgnc_first_kind(rs, r)
-        lines.append(rep.to_json())
-    _write(args, "effective_awgnc.jsonl", "\n".join(lines) + "\n")
-    return 0
-
-
-def cmd_effective_bsc(args):
-    rs = _load_rayset(args)
-    lines = []
-    for r in rs:
-        rep = effect.bsc_effectiveness(rs, r, args.L)
-        lines.append(rep.to_json())
-    _write(args, "effective_bsc.jsonl", "\n".join(lines) + "\n")
+    if args.sub == "awgnc":
+        reports = [effect.awgnc_first_kind(rs, r) for r in rs]
+    else:
+        reports = [effect.bsc_effectiveness(rs, r, args.L) for r in rs]
+    _write(args, f"effective_{args.sub}.jsonl",
+           "\n".join(rep.to_json() for rep in reports) + "\n")
     return 0
 
 
@@ -332,9 +324,9 @@ def build_parser():
         flips={"default": ""}, L={"type": Fraction, "default": Fraction(1)})
 
     effective = sub.add_parser("effective").add_subparsers(dest="sub", required=True)
-    add(effective, "awgnc", cmd_effective_awgnc, rayset={"required": True},
+    add(effective, "awgnc", cmd_effective, rayset={"required": True},
         q={"type": int})
-    add(effective, "bsc", cmd_effective_bsc, rayset={"required": True},
+    add(effective, "bsc", cmd_effective, rayset={"required": True},
         q={"type": int}, L={"type": Fraction, "default": Fraction(1)})
 
     construct_p = sub.add_parser("construct").add_subparsers(dest="sub", required=True)

@@ -295,12 +295,17 @@ def integer_rank(rows):
 
 def active_rank(H: ParityCheck, omega) -> int:
     """Rank of the tight-constraint coefficient matrix at omega; one scan
-    gives both membership (NotInCone otherwise) and the tight set, whose
-    row maps are built only here."""
+    gives both membership (NotInCone otherwise) and the tight set. The
+    zero set Z's unit rows add |Z|; a tight cone row (j, i) off Z's columns
+    is empty if x_i = 0, so only rows with x_i > 0 are built and ranked."""
     violated, tight = _scan(H, omega)
     if violated is not None:
         raise NotInCone(f"vector violates {violated}")
-    return integer_rank([_row(H, label) for label in tight])
+    zero = {label[1] for label in tight if label[0] == "nonneg"}
+    pivots = [label[1:] for label in tight if label[0] == "cone"]
+    return len(zero) + integer_rank([
+        {k: -1 if k == i else 1 for k in H.rows[j] if k not in zero}
+        for j, i in pivots if i not in zero])
 
 
 def is_minimal(H: ParityCheck, omega) -> bool:

@@ -75,8 +75,14 @@ class RaySet:
 
 @dataclass
 class Budget:
+    """Limits of one run, None for none; a negative one is a ValueError."""
     max_seconds: float = None
     max_rays: int = None
+
+    def __post_init__(self):
+        for name, limit in vars(self).items():
+            if limit is not None and limit < 0:
+                raise ValueError(f"{name} must be nonnegative, got {limit}")
 
 
 def insertion_order(H: ParityCheck, seed=None):

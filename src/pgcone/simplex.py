@@ -2,15 +2,18 @@
 entering and the leaving column: dual simplex for phase 1 and for cutting
 planes, primal simplex for the objective.
 
-Each standard-form row with its right-hand side, and the objective, is
-scaled once to ints by the lcm of its denominators. A tableau row equals
-its equation times a positive factor, its entry at the basic column.
-Pivots are fraction-free (``cone._eliminate``: row := p row - row[col]
-prow, then division by the row's gcd) and touch only the rows with a
-nonzero in the pivot column; the ratio test cross-multiplies, so the
-factors cancel. Every sign and ratio is the rational tableau's, so the
-pivots are too, with no floating point anywhere. ``Fraction`` appears only
-at the boundary: the coercion of ``LinearProgram`` data and the ``LpResult``.
+Every variable x has a finite lower bound lo and is one standard column,
+y = x - lo >= 0; an upper bound hi is the row y <= hi - lo. So the
+tableau's columns are the variables, then the rows' slacks. Each row with
+its right-hand side, and the objective, is scaled once to ints by the lcm
+of its denominators. A tableau row equals its equation times a positive
+factor, its entry at the basic column. Pivots are fraction-free
+(``cone._eliminate``: row := p row - row[col] prow, then division by the
+row's gcd) and touch only the rows with a nonzero in the pivot column;
+the ratio test cross-multiplies, so the factors cancel. Every sign and
+ratio is the rational tableau's, so the pivots are too, with no floating
+point anywhere. ``Fraction`` appears only at the boundary: the coercion
+of ``LinearProgram`` data and the ``LpResult``.
 
 Every row enters the tableau one way, as a ``<=`` row with its own slack
 column, which starts basic: a ``>=`` row is negated, and an ``==`` row
@@ -27,14 +30,14 @@ z_j / -a_j over a_j < 0 (cross-multiplied), ties to the smallest column.
 A leaving row with no a_j < 0 proves the LP infeasible.
 
 An LP may carry a separation oracle, ``separate(x, d)``, called on each
-optimum x / d: x has one int per original variable, d > 0 is the lcm of
-the bound shifts' denominators and the factors of the rows of nonzero
-basic standard variables. It returns the rows x / d violates, in
-``constraints`` form (inequalities whose row maps hold int or Fraction
-coefficients), or nothing once x / d is feasible for the whole family; the
-loop ends only then. The rows enter the final tableau as above. The
-reduced costs are untouched, so the basis stays dual feasible, and dual
-simplex restores primal feasibility.
+optimum x / d: x has one int per variable, d > 0 is the lcm of the
+lower bounds' denominators and the factors of the rows of nonzero basic
+variables. It returns the rows x / d violates, in ``constraints`` form
+(inequalities whose row maps hold int or Fraction coefficients), or
+nothing once x / d is feasible for the whole family; the loop ends only
+then. The rows enter the final tableau as above. The reduced costs are
+untouched, so the basis stays dual feasible, and dual simplex restores
+primal feasibility.
 """
 
 from dataclasses import dataclass, field
@@ -55,8 +58,9 @@ INFEASIBLE = "Infeasible"
 @dataclass
 class LinearProgram:
     """Minimize objective . x (a list) subject to rows (a, rel, b), each a
-    a {variable: coefficient} map without zeros, and optional per-variable
-    (lower, upper) bounds; a bound of None means unbounded.
+    a {variable: coefficient} map without zeros, and per-variable bounds
+    (lower, upper): the lower bound finite (ValueError for None), the
+    upper one None for none; the default is (0, None) for every variable.
     ``separate(x, d)``, when given, returns the rows of a larger family
     that the optimum x / d violates (see the module docstring)."""
     objective: list
@@ -71,14 +75,11 @@ class LinearProgram:
             for row, rel, b in self.constraints
         ]
         n = len(self.objective)
-        if self.bounds is None:
-            self.bounds = [(None, None)] * n
-        else:
-            self.bounds = [
-                (None if lo is None else Fraction(lo),
-                 None if hi is None else Fraction(hi))
-                for lo, hi in self.bounds
-            ]
+        bounds = [(0, None)] * n if self.bounds is None else self.bounds
+        if any(lo is None for lo, _ in bounds):
+            raise ValueError("every variable needs a finite lower bound")
+        self.bounds = [(Fraction(lo), None if hi is None else Fraction(hi))
+                       for lo, hi in bounds]
         for row, _, _ in self.constraints:
             if not all(0 <= k < n for k in row):
                 raise ValueError("constraint dimension mismatch")
@@ -95,71 +96,40 @@ class LpResult:
 
 
 def _to_standard_form(lp: LinearProgram):
-    """Rewrite as min c.y, A y (rel) b with y >= 0.
+    """Rewrite as min c.y, A y (rel) b with y >= 0, where y_k = x_k - lo_k
+    and an upper bound is the row y_k <= hi_k - lo_k, after lp.constraints.
 
-    Returns (c, nstd, rows, expand, recover): rows hold their coefficients
-    as a {std index: value} map, expand maps a row (a, rel, b) in the
-    original variables to that form (its rhs less the constant the bound
-    shifts add; ValueError on a variable out of range), and recover maps a
-    tableau's basic solution to (x, d), the original variables as x / d.
+    Returns (rows, expand, recover): rows are (map, rel, rhs); expand maps
+    a row (a, rel, b) in the original variables to that form (the same
+    map, b less a . lo; ValueError on a variable out of range); recover
+    maps a tableau's basic solution to (x, d), the variables as x / d.
     """
-    var_terms = []   # per original var: list of (std index, sign)
-    var_shift = []   # constant added to the variable expression
-    extra_rows = []  # upper-bound rows in standard variables
-    nstd = 0
-    for lo, hi in lp.bounds:
-        if lo is not None:
-            var_terms.append([(nstd, 1)])
-            var_shift.append(lo)
-            if hi is not None:
-                extra_rows.append(({nstd: 1}, LE, hi - lo))
-            nstd += 1
-        elif hi is not None:
-            # x = hi - y with y >= 0
-            var_terms.append([(nstd, -1)])
-            var_shift.append(hi)
-            nstd += 1
-        else:
-            var_terms.append([(nstd, 1), (nstd + 1, -1)])
-            var_shift.append(0)
-            nstd += 2
-
-    n = len(var_shift)
+    lows = [lo for lo, _ in lp.bounds]
+    n = len(lows)
 
     def expand(row, rel, b):
-        # Each standard index belongs to exactly one original variable, so
-        # every entry is set once and nothing is accumulated.
-        out = {}
         for k, a in row.items():
             if not 0 <= k < n:
                 raise ValueError("constraint dimension mismatch")
-            shift = var_shift[k]
-            if shift:
-                b -= a * shift
-            for idx, sign in var_terms[k]:
-                out[idx] = a if sign > 0 else -a
-        return out, rel, b
+            if lows[k]:
+                b -= a * lows[k]
+        return row, rel, b
 
-    objective = expand(dict(enumerate(lp.objective)), None, 0)[0]
-    c = [objective.get(idx, 0) for idx in range(nstd)]
-    rows = [expand(*row) for row in lp.constraints] + extra_rows
-
-    shift_den = lcm(*(s.denominator for s in var_shift))
-    owner = {idx: (k, sign) for k, terms in enumerate(var_terms)
-             for idx, sign in terms}
+    rows = [expand(*row) for row in lp.constraints] + [
+        ({k: 1}, LE, hi - lo) for k, (lo, hi) in enumerate(lp.bounds)
+        if hi is not None]
 
     def recover(tableau, basis):
-        # A basic standard variable is its row's rhs / factor.
+        # A basic column's y is its row's rhs / factor, and x = lo + y.
         basic = [(b, row) for b, row in zip(basis, tableau)
-                 if b < nstd and row[-1]]
-        d = lcm(shift_den, *(row[b] for b, row in basic))
-        x = [s.numerator * (d // s.denominator) for s in var_shift]
+                 if b < n and row[-1]]
+        d = lcm(*(lo.denominator for lo in lows), *(r[b] for b, r in basic))
+        x = [lo.numerator * (d // lo.denominator) for lo in lows]
         for b, row in basic:
-            k, sign = owner[b]
-            x[k] += sign * row[-1] * (d // row[b])
+            x[b] += row[-1] * (d // row[b])
         return x, d
 
-    return c, nstd, rows, expand, recover
+    return rows, expand, recover
 
 
 def _append(tableau, basis, zrow, rows):
@@ -186,21 +156,23 @@ def _append(tableau, basis, zrow, rows):
 
 
 def lp_solve(lp: LinearProgram) -> LpResult:
-    c, nstd, rows, expand, recover = _to_standard_form(lp)
+    rows, expand, recover = _to_standard_form(lp)
+    n = len(lp.objective)
     # An EQ row enters as its LE half and its GE half. slacks holds the
     # slack column of each row of lp.constraints (an EQ row's LE half),
     # then of each separated row in the order the rows are added.
     halves, slacks = [], []
     for k, (coeffs, rel, b) in enumerate(rows):
         if k < len(lp.constraints):
-            slacks.append(nstd + len(halves))
+            slacks.append(n + len(halves))
         for half in (LE, GE) if rel == EQ else (rel,):
             halves.append((coeffs, half, b))
-    tableau, basis, zero = [], [], [0] * (nstd + 1)
+    tableau, basis, zero = [], [], [0] * (n + 1)
     _append(tableau, basis, zero, halves)
     if _dual(tableau, basis, zero) == INFEASIBLE:
         return LpResult(status=INFEASIBLE)
-    z = _reduced_costs(tableau, basis, _scaled_to_ints(c), len(zero) - 1)
+    z = _reduced_costs(tableau, basis, _scaled_to_ints(lp.objective),
+                       len(zero) - 1)
     if _run(tableau, basis, z) == UNBOUNDED:
         return LpResult(status=UNBOUNDED)
     while True:

@@ -100,17 +100,22 @@ def bound_cor3(t: TypeVector, eta) -> BoundReport:
     eta = Fraction(eta)
     if eta == 0:
         raise ZeroEta("eta must be nonzero")
-    betas = {k: beta_coefficient(k, eta) for k in t.counts}
+    betas = {k: _beta(k, eta) for k in t.counts}
     value = sum(betas[k] * v for k, v in t.counts.items())
     return BoundReport("Cor3", Fraction(value),
                        parameters={"eta": eta, "beta": betas})
+
+
+def _beta(value, eta):
+    """value(2 eta - value)/eta^2 for a Fraction value and eta != 0."""
+    return value * (2 * eta - value) / (eta * eta)
 
 
 def beta_coefficient(value, eta) -> Fraction:
     value, eta = Fraction(value), Fraction(eta)
     if eta == 0:
         raise ZeroEta("eta must be nonzero")
-    return value * (2 * eta - value) / (eta * eta)
+    return _beta(value, eta)
 
 
 def bound_cor4(omega) -> BoundReport:

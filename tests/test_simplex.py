@@ -51,10 +51,17 @@ def test_upper_bounds_via_box():
     assert res.solution == [1, 1]
 
 
-def test_free_variable_split():
-    res = lp_solve(LinearProgram([1], [({0: 1}, GE, -5)]))
+def test_default_bounds_are_nonnegative():
+    # With no bounds given every variable is >= 0, so min x is 0.
+    res = lp_solve(LinearProgram([1], []))
     assert res.status == OPTIMAL
-    assert res.optimal_value == -5
+    assert res.optimal_value == 0
+    assert res.solution == [0]
+
+
+def test_lower_bound_is_required():
+    with pytest.raises(ValueError, match="finite lower bound"):
+        LinearProgram([1], [], bounds=[(None, 1)])
 
 
 def test_exact_fractions():
@@ -367,7 +374,7 @@ def test_separated_row_can_make_the_lp_infeasible():
 
 
 def test_separated_rows_in_original_variables():
-    # Shifted, upper-bounded and free variables: a cut is written in the
+    # Shifted variables, boxed and lower-bounded: a cut is written in the
     # original variables, and its rhs absorbs the bound shifts.
     def separate(x, d):
         x = [Fraction(v, d) for v in x]
@@ -378,7 +385,7 @@ def test_separated_rows_in_original_variables():
             cuts.append(({0: -1, 2: 1}, GE, -4))
         return cuts
 
-    bounds = [(-2, 5), (None, 4), (None, None)]
+    bounds = [(-2, 5), (-7, 4), (-20, None)]
     res = lp_solve(LinearProgram([1, -2, 1], [({2: 1}, GE, -10)], bounds,
                                  separate=separate))
     # Without the cuts the optimum is (-2, 4, -10), which violates both;
@@ -390,9 +397,9 @@ def test_separated_rows_in_original_variables():
 
 
 def test_oracle_reads_ints_over_a_common_denominator():
-    # Fractional bound shifts, an upper-bounded and a free variable: each
-    # oracle call gets ints x and a positive int d with x / d the optimum
-    # in the original variables, before and after a cut.
+    # Fractional bound shifts, two boxed variables and a lower-bounded one:
+    # each oracle call gets ints x and a positive int d with x / d the
+    # optimum in the original variables, before and after a cut.
     calls = []
 
     def separate(x, d):
@@ -400,8 +407,8 @@ def test_oracle_reads_ints_over_a_common_denominator():
         calls.append([Fraction(v, d) for v in x])
         return [({0: 2, 2: 1}, GE, 1)] if 2 * x[0] + x[2] < d else []
 
-    bounds = [(Fraction(1, 3), Fraction(7, 2)), (None, Fraction(5, 4)),
-              (None, None)]
+    bounds = [(Fraction(1, 3), Fraction(7, 2)), (-3, Fraction(5, 4)),
+              (Fraction(-9, 2), None)]
     rows = [({0: -1, 2: 1}, GE, Fraction(-5, 2))]
     res = lp_solve(LinearProgram([1, -1, 1], rows, bounds, separate=separate))
     assert res.status == OPTIMAL
