@@ -139,8 +139,9 @@ class TypeVector:
     def __init__(self, counts, n):
         self.counts = {Fraction(k): int(v) for k, v in counts.items()
                        if v and Fraction(k) != 0}
-        if any(k < 0 for k in self.counts):
-            raise ValueError("type values must be nonnegative")
+        if any(k < 0 or v < 0 for k, v in self.counts.items()):
+            raise ValueError("type values and multiplicities must be "
+                             "nonnegative")
         self.n = n
         if sum(self.counts.values()) > n:
             raise ValueError("type counts exceed the vector length")

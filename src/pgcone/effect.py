@@ -77,7 +77,9 @@ def cor8_screen(omega, q) -> str:
 def awgnc_first_kind(rayset: RaySet, omega) -> EffectivenessReport:
     """LP search for a box-bounded AWGNC witness: minimize <omega, lambda>
     subject to <omega', lambda> >= 0 for every other ray and
-    -1 <= lambda <= 1; first kind iff the optimum is negative."""
+    -1 <= lambda <= 1. lambda = 0 satisfies every row and the box, so the
+    optimum is never positive: first kind iff it is negative, second kind
+    only iff it is zero."""
     if not rayset.complete:
         raise IncompleteRaySet("AWGNC classification needs the full ray set")
     target = PseudoCodeword(omega).canonical
@@ -89,9 +91,5 @@ def awgnc_first_kind(rayset: RaySet, omega) -> EffectivenessReport:
     res = lp_solve(lp)
     if res.status != OPTIMAL:
         raise LpNotOptimal(f"box-bounded witness LP ended {res.status}")
-    if res.optimal_value < 0:
-        return EffectivenessReport(target, "AWGNC", FIRST,
-                                   tuple(res.solution))
-    kind = SECOND_ONLY if res.optimal_value == 0 else NOT_EFFECTIVE
-    wit = tuple(res.solution) if kind == SECOND_ONLY else None
-    return EffectivenessReport(target, "AWGNC", kind, wit)
+    kind = FIRST if res.optimal_value < 0 else SECOND_ONLY
+    return EffectivenessReport(target, "AWGNC", kind, tuple(res.solution))

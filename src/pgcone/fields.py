@@ -1,5 +1,6 @@
-"""Arithmetic in GF(2^s) via log/antilog tables, plus the degree-3 extension
-trace used to build the Singer difference set of PG(2, q)."""
+"""Arithmetic in GF(2^s) via log/antilog tables, plus the trace of GF(q^3)
+over GF(q), computed in GF(q^3) alone, whose zeros among the powers of the
+generator form the Singer difference set of PG(2, q)."""
 
 from .errors import FieldMismatch, RejectedPolynomial
 
@@ -14,6 +15,8 @@ PRIMITIVE_POLYS = {
     7: 0b10000011,       # x^7 + x + 1
     8: 0b100011101,      # x^8 + x^4 + x^3 + x^2 + 1
     9: 0b1000010001,     # x^9 + x^4 + 1
+    10: 0b10000001001,   # x^10 + x^3 + 1
+    11: 0b100000000101,  # x^11 + x^2 + 1
     12: 0b1000001010011, # x^12 + x^6 + x^4 + x + 1
 }
 
@@ -95,14 +98,6 @@ class Field:
             return 0
         return self.exp_table[(self.log_table[a] * k) % (self.q - 1)]
 
-    def eval_poly(self, poly_bits, x):
-        """Evaluate a GF(2)[x] polynomial (bit i = coeff of x^i) at x."""
-        acc = 0
-        for i in range(poly_bits.bit_length()):
-            if (poly_bits >> i) & 1:
-                acc ^= self.pow(x, i)
-        return acc
-
     def __repr__(self):
         return f"Field(s={self.s}, poly=0b{self.primitive_poly:b})"
 
@@ -114,54 +109,10 @@ def field_new(s):
     return Field(s)
 
 
-class SubfieldEmbedding:
-    """The embedding of GF(2^s) into GF(2^{3s}) that maps the small field's
-    generator to a root of the small primitive polynomial."""
-
-    def __init__(self, small: Field, big: Field):
-        if big.s != 3 * small.s:
-            raise FieldMismatch(
-                f"extension degree must be 3: got s={small.s}, S={big.s}")
-        self.small = small
-        self.big = big
-        root = None
-        # The subfield image is {x : x^q = x}; a root of the small primitive
-        # polynomial inside it fixes a canonical field homomorphism.
-        for x in range(1, big.q):
-            if big.pow(x, small.q) == x and big.eval_poly(small.primitive_poly, x) == 0:
-                root = x
-                break
-        if root is None:
-            raise FieldMismatch("no root of the subfield polynomial found")
-        self.root = root
-        up = [0] * small.q
-        for e in range(small.q):
-            acc = 0
-            for i in range(small.s):
-                if (e >> i) & 1:
-                    acc ^= big.pow(root, i)
-            up[e] = acc
-        self._up = up
-        self._down = {v: e for e, v in enumerate(up)}
-        if len(self._down) != small.q:
-            raise FieldMismatch("embedding is not injective")
-
-    def embed(self, a):
-        self.small._check(a)
-        return self._up[a]
-
-    def project(self, a):
-        try:
-            return self._down[a]
-        except KeyError:
-            raise FieldMismatch(f"{a} is not in the embedded subfield") from None
-
-
-def trace_to_subfield(big: Field, a, embedding: SubfieldEmbedding):
-    """Trace a + a^q + a^{q^2} from GF(q^3) down to GF(q), returned as a
-    small-field element."""
-    if embedding.big is not big:
-        raise FieldMismatch("embedding does not belong to this field")
-    q = embedding.small.q
-    t = a ^ big.pow(a, q) ^ big.pow(a, q * q)
-    return embedding.project(t)
+def trace(big: Field, a):
+    """Trace a + a^q + a^{q^2} of GF(q^3) = big, q = 2^(big.s / 3), as an
+    element of big; it lies in the subfield GF(q) = {x : x^q = x}."""
+    if big.s % 3:
+        raise FieldMismatch(f"GF({big.q}) is not a cubic extension")
+    q = 1 << big.s // 3
+    return a ^ big.pow(a, q) ^ big.pow(a, q * q)

@@ -5,7 +5,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .errors import DimensionTooLarge, UnsupportedQ
-from .fields import SubfieldEmbedding, field_new, trace_to_subfield
+from .fields import field_new, trace
 
 SUPPORTED_S = (1, 2, 3, 4)
 
@@ -133,15 +133,9 @@ def _plane_field(q):
 def build_plane(q):
     """Build PG(2, q), q = 2^s, from the trace-zero Singer difference set."""
     s = _plane_field(q)
-    small = field_new(s)
     big = field_new(3 * s)
-    emb = SubfieldEmbedding(small, big)
     n = q * q + q + 1
-    d_set = []
-    for i in range(n):
-        a = big.exp_table[i]
-        if trace_to_subfield(big, a, emb) == 0:
-            d_set.append(i)
+    d_set = [i for i in range(n) if trace(big, big.exp_table[i]) == 0]
     if len(d_set) != q + 1:
         raise UnsupportedQ(f"trace construction failed for q={q}")
     lines = tuple(frozenset((d + j) % n for d in d_set) for j in range(n))

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from pgcone import cli, cone
 from pgcone.cli import dispatch
+from pgcone.cone import active_rank
 
 
 def run(tmp_path, *argv):
@@ -254,6 +256,23 @@ def test_cone_lines_pinned(tmp_path, capsys):
     assert run(tmp_path, "cone", "minimal", "--q", "2",
                "--vector", "1,0,1,1,1,0,0") == 0
     assert capsys.readouterr().out == "active rank 6 of 6; minimal\n"
+
+
+def test_cone_minimal_ranks_once(tmp_path, capsys, monkeypatch):
+    # Wrapped in `cone` too, so a second certification through
+    # `is_minimal` would be counted.
+    calls = []
+
+    def counting(H, omega):
+        calls.append(omega)
+        return active_rank(H, omega)
+
+    monkeypatch.setattr(cli, "active_rank", counting)
+    monkeypatch.setattr(cone, "active_rank", counting)
+    assert run(tmp_path, "cone", "minimal", "--q", "2",
+               "--vector", "1,0,1,1,1,0,0") == 0
+    assert capsys.readouterr().out == "active rank 6 of 6; minimal\n"
+    assert len(calls) == 1
 
 
 def test_malformed_rayset_exit_code(tmp_path, capsys):

@@ -190,6 +190,12 @@ def test_type_vector_validation():
         TypeVector({1: 5, 2: 5}, 7)
 
 
+def test_type_vector_rejects_a_negative_multiplicity():
+    # Without the check, t_0 = 9 > n and pw_from_type builds 10 entries.
+    with pytest.raises(ValueError, match="multiplicities"):
+        TypeVector({1: -3, 2: 1}, 7)
+
+
 def _fraction_rank(rows):
     """Reference rank by Gauss-Jordan elimination over Fractions."""
     mat = [[Fraction(x) for x in row] for row in rows]

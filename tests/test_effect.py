@@ -89,6 +89,15 @@ def test_single_ray_first_trivially():
     assert rep.kind == FIRST
 
 
+def test_awgnc_zero_optimum_is_second_kind_only():
+    # Every lambda with <omega', lambda> >= 0 on both unit rays is >= 0, so
+    # the optimum is 0 at lambda = 0: the LP never reads positive.
+    rs = RaySet(rays=((1, 0), (0, 1)), h_matrix_id="x", complete=True, n=2)
+    rep = awgnc_first_kind(rs, (1, 1))
+    assert rep.kind == SECOND_ONLY
+    assert rep.witness == (0, 0)
+
+
 def test_bsc_L_validation(rays2):
     with pytest.raises(ValueError):
         bsc_effectiveness(rays2, tuple(rays2)[0], L=0)

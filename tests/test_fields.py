@@ -1,12 +1,11 @@
-"""GF(2^s) arithmetic, primitivity checking, subfield embedding and trace."""
+"""GF(2^s) arithmetic, primitivity checking and the GF(q^3)/GF(q) trace."""
 
 import random
 
 import pytest
 
 from pgcone.errors import FieldMismatch, RejectedPolynomial
-from pgcone.fields import (Field, SubfieldEmbedding, field_new,
-                           trace_to_subfield)
+from pgcone.fields import Field, field_new, trace
 
 
 def test_gf2_identity():
@@ -87,63 +86,52 @@ def test_field_axioms_randomized():
             assert f.add(a, a) == 0
 
 
-def test_embedding_is_homomorphism():
-    small, big = field_new(2), field_new(6)
-    emb = SubfieldEmbedding(small, big)
-    for a in range(small.q):
-        for b in range(small.q):
-            assert emb.embed(small.add(a, b)) == big.add(emb.embed(a), emb.embed(b))
-            assert emb.embed(small.mul(a, b)) == big.mul(emb.embed(a), emb.embed(b))
-
-
-def test_embedding_degree_check():
-    with pytest.raises(FieldMismatch):
-        SubfieldEmbedding(field_new(2), field_new(4))
-
-
 def test_trace_zero_and_one():
     # GF(8)/GF(2): trace(0) = 0, trace(alpha) = 0, trace(1) = 1.
-    small, big = field_new(1), field_new(3)
-    emb = SubfieldEmbedding(small, big)
-    assert trace_to_subfield(big, 0, emb) == 0
-    assert trace_to_subfield(big, 2, emb) == 0
-    assert trace_to_subfield(big, 1, emb) == 1
+    big = field_new(3)
+    assert trace(big, 0) == 0
+    assert trace(big, 2) == 0
+    assert trace(big, 1) == 1
+
+
+def test_trace_lands_in_the_subfield():
+    # GF(q) inside GF(q^3) is {x : x^q = x}.
+    for s in (1, 2):
+        big, q = field_new(3 * s), 2 ** s
+        for a in range(big.q):
+            t = trace(big, a)
+            assert big.pow(t, q) == t
 
 
 def test_trace_frobenius_invariance():
     for s in (1, 2):
-        small, big = field_new(s), field_new(3 * s)
-        emb = SubfieldEmbedding(small, big)
-        q = small.q
+        big, q = field_new(3 * s), 2 ** s
         for a in range(big.q):
-            assert trace_to_subfield(big, a, emb) == \
-                trace_to_subfield(big, big.pow(a, q), emb)
+            assert trace(big, a) == trace(big, big.pow(a, q))
 
 
 def test_trace_kernel_size():
     # The trace kernel is a 2-dimensional GF(q)-subspace: q^2 elements.
     for s in (1, 2):
-        small, big = field_new(s), field_new(3 * s)
-        emb = SubfieldEmbedding(small, big)
-        kernel = sum(1 for a in range(big.q)
-                     if trace_to_subfield(big, a, emb) == 0)
-        assert kernel == small.q ** 2
+        big = field_new(3 * s)
+        kernel = sum(1 for a in range(big.q) if trace(big, a) == 0)
+        assert kernel == (2 ** s) ** 2
 
 
 def test_trace_additivity():
-    small, big = field_new(2), field_new(6)
-    emb = SubfieldEmbedding(small, big)
+    big = field_new(6)
     rng = random.Random(11)
     for _ in range(50):
         a, b = rng.randrange(big.q), rng.randrange(big.q)
-        assert trace_to_subfield(big, big.add(a, b), emb) == \
-            small.add(trace_to_subfield(big, a, emb),
-                      trace_to_subfield(big, b, emb))
+        assert trace(big, big.add(a, b)) == \
+            big.add(trace(big, a), trace(big, b))
 
 
 def test_trace_wrong_field_rejected():
-    small, big = field_new(1), field_new(3)
-    emb = SubfieldEmbedding(small, big)
-    other = field_new(3)
     with pytest.raises(FieldMismatch):
-        trace_to_subfield(other, 1, emb)
+        trace(field_new(4), 1)
+
+
+def test_every_supported_s_has_a_builtin_polynomial():
+    for s in range(1, 13):
+        assert field_new(s).q == 2 ** s

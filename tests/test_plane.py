@@ -17,6 +17,16 @@ def test_q2_difference_set():
     assert p.difference_set == (1, 2, 4)
 
 
+@pytest.mark.parametrize("q, d_set", [
+    (4, (3, 6, 7, 12, 14)),
+    (8, (17, 33, 34, 45, 53, 59, 63, 66, 68)),
+    (16, (39, 59, 78, 83, 89, 91, 118, 125, 156, 166, 178, 181, 182, 199,
+          227, 236, 250)),
+])
+def test_difference_set_is_pinned(q, d_set):
+    assert build_plane(q).difference_set == d_set
+
+
 def test_plane_sizes():
     for q, n in ((2, 7), (4, 21)):
         p = build_plane(q)
