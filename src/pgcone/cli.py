@@ -143,7 +143,9 @@ def cmd_weights_compute(args):
 
 def cmd_weights_bounds(args):
     omega = _load_vector(args.vector)
+    # Both raise on bad input (q, the zero vector) before anything prints.
     thm5 = None if args.q is None else weights.bound_thm5(args.q)
+    cor4 = weights.bound_cor4(omega)
     t = type_of(omega)
     aw = weights.awgnc_pw(omega)
     print(f"awgnc_pw {_rat(aw)} ({_fmt(aw)})")
@@ -153,8 +155,7 @@ def cmd_weights_bounds(args):
     for eta in (Fraction(4, 3), Fraction(2)):
         rep = weights.bound_cor3(t, eta)
         print(f"Cor3(eta={_rat(eta)}) {_rat(rep.value)} ({_fmt(rep.value)})")
-    rep = weights.bound_cor4(omega)
-    print(f"Cor4 {_rat(rep.value)} ({_fmt(rep.value)})")
+    print(f"Cor4 {_rat(cor4.value)} ({_fmt(cor4.value)})")
     if thm5 is not None:
         note = "applicable" if weights.thm5_applicable(t, args.q) \
             else "not applicable to this type"

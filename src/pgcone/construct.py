@@ -107,7 +107,7 @@ def max_alpha(H, base, positions):
 def _switched(base_vec, positions, value):
     out = list(base_vec)
     for i in positions:
-        out[i] = Fraction(value)
+        out[i] = value
     return tuple(out)
 
 
@@ -134,11 +134,12 @@ def _switch_search(p: Plane, pool, admissible):
     """For each default-overlap codeword pair, switch s = log2(q) zeros of
     their sum to twos; yield (x1, x2, omega_t, switch, cand) for each
     switch set that passes `admissible` and whose result certifies
-    minimal."""
+    minimal. omega_t and cand are int tuples, which the cone scan takes
+    as they are."""
     s = p.q.bit_length() - 1
     H = incidence_matrix(p)
     for x1, x2 in _overlapping_pairs(p, (p.q + 2) // 2, pool=pool):
-        omega_t = tuple(Fraction(a + b) for a, b in zip(x1, x2))
+        omega_t = tuple(a + b for a, b in zip(x1, x2))
         zeros = [i for i, x in enumerate(omega_t) if x == 0]
         for switch in combinations(zeros, s):
             if not admissible(switch):

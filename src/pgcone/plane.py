@@ -147,25 +147,42 @@ def incidence_matrix(p: Plane) -> ParityCheck:
     return ParityCheck([sorted(line) for line in p.lines], p.n)
 
 
+def _incidence_masks(p: Plane):
+    """Line j as an int mask over its points and point i as an int mask
+    over the lines through it. Only points in 0..n-1 get a bit, so a
+    malformed line is reported by the checks rather than raising."""
+    line_masks = [0] * len(p.lines)
+    point_masks = [0] * p.n
+    for j, line in enumerate(p.lines):
+        for i in line:
+            if 0 <= i < p.n:
+                line_masks[j] |= 1 << i
+                point_masks[i] |= 1 << j
+    return line_masks, point_masks
+
+
 def verify_axioms(p: Plane) -> AxiomReport:
     """Exhaustively check the four projective-plane incidence axioms."""
     n, q = p.n, p.q
     for j, line in enumerate(p.lines):
         if len(line) != q + 1:
             return AxiomReport(False, f"line {j} has {len(line)} points")
+    line_masks, point_masks = _incidence_masks(p)
     for i in range(n):
-        deg = sum(1 for line in p.lines if i in line)
+        deg = point_masks[i].bit_count()
         if deg != q + 1:
             return AxiomReport(False, f"point {i} lies on {deg} lines")
+    # The degrees add up to n(q + 1), every incidence of n lines of q + 1
+    # points, so each line mask now holds its whole line.
     for a in range(n):
         for b in range(a + 1, n):
-            common = sum(1 for line in p.lines if a in line and b in line)
+            common = (point_masks[a] & point_masks[b]).bit_count()
             if common != 1:
                 return AxiomReport(
                     False, f"points {a},{b} share {common} lines")
     for j1 in range(n):
         for j2 in range(j1 + 1, n):
-            meet = len(p.lines[j1] & p.lines[j2])
+            meet = (line_masks[j1] & line_masks[j2]).bit_count()
             if meet != 1:
                 return AxiomReport(
                     False, f"lines {j1},{j2} meet in {meet} points")
@@ -244,30 +261,36 @@ def arc_check(p: Plane, point_set) -> ArcReport:
 
 
 def find_hyperovals(p: Plane, limit=1):
-    """Backtracking search for (q+2)-arcs; returns up to `limit` of them."""
+    """Backtracking search for (q+2)-arcs; returns up to `limit` of them.
+
+    `blocked` is the point mask of the secants, the lines through two
+    chosen points; a point off every secant extends the arc."""
     n = p.n
     target = p.q + 2
     results = []
-    incident = [[j for j in range(n) if i in p.lines[j]] for i in range(n)]
-    line_count = [0] * n  # points of the current arc on each line
+    line_masks, point_masks = _incidence_masks(p)
 
-    def extend(current, start):
+    def extend(current, start, blocked):
         if len(current) == target:
             results.append(tuple(current))
             return
         # Not enough candidate points left to finish the arc.
-        for nxt in range(start, n - (target - len(current)) + 1):
-            if any(line_count[j] >= 2 for j in incident[nxt]):
-                continue
+        stop = n - (target - len(current)) + 1
+        window = ((1 << stop) - 1) >> start << start
+        free = window & ~blocked
+        while free:
+            low = free & -free
+            free ^= low
+            nxt = low.bit_length() - 1
+            grown = blocked
+            for a in current:
+                common = point_masks[nxt] & point_masks[a]
+                grown |= line_masks[common.bit_length() - 1]
             current.append(nxt)
-            for j in incident[nxt]:
-                line_count[j] += 1
-            extend(current, nxt + 1)
+            extend(current, nxt + 1, grown)
             current.pop()
-            for j in incident[nxt]:
-                line_count[j] -= 1
             if len(results) >= limit:
                 return
 
-    extend([], 0)
+    extend([], 0, 0)
     return results

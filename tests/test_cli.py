@@ -81,6 +81,16 @@ def test_weights_bounds(tmp_path, capsys):
     assert "applicable" in out
 
 
+def test_weights_bounds_zero_vector_prints_nothing(tmp_path, capsys):
+    # Cor4 has no value at the zero vector; the command fails before it
+    # prints any of the other bounds.
+    assert run(tmp_path, "weights", "bounds", "--vector", "0,0,0,0,0,0,0",
+               "--q", "2") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Cor4 requires a nonzero vector\n"
+
+
 def test_rays_and_histogram(tmp_path, capsys):
     assert run(tmp_path, "rays", "enumerate", "--q", "2") == 0
     assert "14 rays (complete)" in capsys.readouterr().out

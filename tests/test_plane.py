@@ -50,7 +50,7 @@ def test_q_below_two_is_unsupported():
 
 
 def test_axioms_pass(plane2, plane4, plane8):
-    for p in (plane2, plane4, plane8):
+    for p in (plane2, plane4, plane8, build_plane(16)):
         assert verify_axioms(p).ok
 
 
@@ -65,6 +65,35 @@ def test_axioms_fail_on_mutation(plane2):
     report = verify_axioms(broken)
     assert not report.ok
     assert report.failure
+
+
+def _line0_replaced(plane, point):
+    """Line 0 with its smallest point replaced by `point` (None: dropped)."""
+    line = set(plane.lines[0])
+    line.discard(min(line))
+    if point is not None:
+        line.add(point)
+    return (frozenset(line),) + plane.lines[1:]
+
+
+@pytest.mark.parametrize("broken, failure", [
+    # Line 0 = {1, 2, 4} loses 1.
+    (lambda p: _line0_replaced(p, None), "line 0 has 2 points"),
+    # 1 -> 0, the first point off line 0: point 0 gains a line.
+    (lambda p: _line0_replaced(p, 0), "point 0 lies on 4 lines"),
+    # Lines {j, j+1, j+2}: right sizes and degrees, but 0 and 1 lie on
+    # lines 0 and 6.
+    (lambda p: tuple(frozenset({j, (j + 1) % 7, (j + 2) % 7})
+                     for j in range(7)), "points 0,1 share 2 lines"),
+    # 1 -> 7, a point outside 0..6: a report, not an IndexError.
+    (lambda p: _line0_replaced(p, 7), "point 1 lies on 2 lines"),
+])
+def test_axioms_first_failure_is_pinned(plane2, broken, failure):
+    p = Plane(q=2, n=7, difference_set=plane2.difference_set,
+              lines=broken(plane2))
+    report = verify_axioms(p)
+    assert not report.ok
+    assert report.failure == failure
 
 
 def test_lines_through_and_line_through(plane2):
@@ -225,3 +254,21 @@ def test_find_hyperovals(plane2, plane4):
     one = find_hyperovals(plane4, limit=1)
     assert len(one) == 1
     assert arc_check(plane4, one[0]).is_hyperoval
+
+
+def test_find_hyperovals_q4_is_exhaustive(plane4, codewords4):
+    # Minimum-weight supports are the hyperovals, so a search that finds
+    # all 168 of them, in lexicographic order, misses none.
+    ovals = find_hyperovals(plane4, limit=1000)
+    assert len(ovals) == 168
+    assert all(list(pts) == sorted(set(pts)) for pts in ovals)
+    assert ovals == sorted(tuple(i for i, x in enumerate(w) if x)
+                           for w in codewords4)
+
+
+def test_find_hyperovals_q8(plane8):
+    ovals = find_hyperovals(plane8, limit=50)
+    assert len(ovals) == 50
+    for pts in ovals:
+        assert list(pts) == sorted(set(pts))
+        assert arc_check(plane8, pts).is_hyperoval
