@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import construct, decode, effect, weights
-from .cone import PseudoCodeword, active_rank, is_member, type_of
+from .cone import PseudoCodeword, _rational, active_rank, is_member, type_of
 from .errors import MatrixMismatch, PgconeError
 from .plane import (build_plane, incidence_matrix, min_weight_codewords,
                     verify_axioms)
@@ -66,7 +66,7 @@ def _load_vector(text):
     if text.startswith("@"):
         with open(text[1:]) as fh:
             return PseudoCodeword.from_json(fh.read())
-    return PseudoCodeword(Fraction(x) for x in text.split(","))
+    return PseudoCodeword(_rational(x) for x in text.split(","))
 
 
 def cmd_plane_build(args):
@@ -186,23 +186,22 @@ def cmd_rays_histogram(args):
     return 0
 
 
-def _matrix_and_llr(args):
-    """The PG(2, q) matrix and the LLR vector of --flips at magnitude --L."""
+def _matrix_and_llr(args, L=1):
+    """The PG(2, q) matrix and the LLR vector of --flips at magnitude L."""
     _, H = _plane_and_matrix(args)
     flips = [int(x) for x in args.flips.split(",")] if args.flips else []
-    return H, decode.llr_from_flips(H.n_cols, flips, args.L)
+    return H, decode.llr_from_flips(H.n_cols, flips, L)
 
 
 def cmd_decode_zero_opt(args):
-    outcome = decode.zero_optimal(*_matrix_and_llr(args))
+    outcome = decode.zero_optimal(*_matrix_and_llr(args, args.L))
     print(f"{outcome.status}; objective {_rat(outcome.objective)}")
     return 0
 
 
 def cmd_decode_sweep(args):
     _, H = _plane_and_matrix(args)
-    stats = decode.bsc_sweep(H, args.e, args.L, samples=args.samples,
-                             seed=args.seed)
+    stats = decode.bsc_sweep(H, args.e, samples=args.samples, seed=args.seed)
     payload = "e,patterns,corrected,ties,failures\n" + stats.csv_row() + "\n"
     _write(args, f"sweep_q{args.q}_e{args.e}.csv", payload)
     print(payload.strip().splitlines()[-1])
@@ -278,6 +277,9 @@ def build_parser():
 
     def add(group, name, fn, **arguments):
         sp = group.add_parser(name)
+        # Fraction options parse through _rational, so a zero denominator
+        # is a ValueError too, which argparse reports as a usage error.
+        sp.register("type", Fraction, _rational)
         for arg, kw in arguments.items():
             sp.add_argument(f"--{arg.replace('_', '-')}", **kw)
         sp.set_defaults(func=fn)
@@ -318,10 +320,8 @@ def build_parser():
     add(decode_p, "zero-opt", cmd_decode_zero_opt, q=q_arg,
         flips={"default": ""}, L={"type": Fraction, "default": Fraction(1)})
     add(decode_p, "sweep", cmd_decode_sweep, q=q_arg, e={"type": int, "required": True},
-        L={"type": Fraction, "default": Fraction(1)}, samples={"type": int},
-        seed={"type": int})
-    add(decode_p, "feldman", cmd_decode_feldman, q=q_arg,
-        flips={"default": ""}, L={"type": Fraction, "default": Fraction(1)})
+        samples={"type": int}, seed={"type": int})
+    add(decode_p, "feldman", cmd_decode_feldman, q=q_arg, flips={"default": ""})
 
     effective = sub.add_parser("effective").add_subparsers(dest="sub", required=True)
     add(effective, "awgnc", cmd_effective, rayset={"required": True},

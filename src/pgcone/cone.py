@@ -25,6 +25,15 @@ def _vec(omega):
     return tuple(Fraction(x) for x in omega)
 
 
+def _rational(x):
+    """Fraction(x), with a ValueError also for a zero denominator, an
+    infinite float or a value of another type."""
+    try:
+        return Fraction(x)
+    except (TypeError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"not a rational: {x!r}") from None
+
+
 def _scaled_to_ints(vec):
     """The Fraction vector times the lcm of its denominators, as ints.
 
@@ -129,8 +138,13 @@ class PseudoCodeword:
 
     @classmethod
     def from_json(cls, text):
+        """The vector of a ``to_json`` text: an object whose "entries" list
+        holds rationals. ValueError, naming what is malformed, otherwise."""
         obj = json.loads(text)
-        return cls(Fraction(e) for e in obj["entries"])
+        if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
+            raise ValueError('a vector file must be an object with an '
+                             '"entries" list')
+        return cls(_rational(e) for e in obj["entries"])
 
 
 class TypeVector:
@@ -317,13 +331,13 @@ def is_minimal(H: ParityCheck, omega) -> bool:
     return active_rank(H, ints) == H.n_cols - 1
 
 
-def type_of(omega, n=None) -> TypeVector:
+def type_of(omega) -> TypeVector:
     vec = _vec(omega)
     counts = {}
     for x in vec:
         if x != 0:
             counts[x] = counts.get(x, 0) + 1
-    return TypeVector(counts, len(vec) if n is None else n)
+    return TypeVector(counts, len(vec))
 
 
 def support(omega):

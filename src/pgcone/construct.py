@@ -9,8 +9,10 @@ from itertools import combinations, count
 from math import inf
 
 from .cone import PseudoCodeword, _vec, active_rank, is_member, type_of
-from .errors import NoSuchPair, NotInCone, NoZeroLinePair, SearchExhausted
-from .plane import Plane, find_hyperovals, incidence_matrix, min_weight_codewords
+from .errors import (DimensionTooLarge, NoSuchPair, NotInCone, NoZeroLinePair,
+                     SearchExhausted)
+from .plane import (Plane, find_hyperovals, incidence_matrix, mask_to_vector,
+                    min_weight_codewords)
 from .weights import _channel, awgnc_pw, conjectured_wp
 
 
@@ -47,35 +49,29 @@ def _weights_of(omega):
 
 
 def _codeword_pool(p: Plane):
-    """Minimum-weight codewords: exhaustive for small dimension, hyperoval
-    backtracking otherwise (minimum-weight supports are hyperovals)."""
-    H = incidence_matrix(p)
-    k = p.n - (3 ** (p.q.bit_length() - 1) + 1)
-    if k <= 24:
-        return min_weight_codewords(H, p.q + 2)
-    ovals = find_hyperovals(p, limit=4000)
-    words = []
-    for pts in ovals:
-        v = [0] * p.n
-        for i in pts:
-            v[i] = 1
-        words.append(tuple(v))
-    return words
+    """Minimum-weight codewords: exhaustive while the code dimension allows
+    it, hyperoval backtracking otherwise (minimum-weight supports are
+    hyperovals)."""
+    try:
+        return min_weight_codewords(incidence_matrix(p), p.q + 2)
+    except DimensionTooLarge:
+        return [mask_to_vector(sum(1 << i for i in pts), p.n)
+                for pts in find_hyperovals(p, limit=4000)]
 
 
-def overlapping_pair(p: Plane, overlap=None, pool=None):
+def overlapping_pair(p: Plane, overlap=None):
     """First (lexicographic) pair of weight-(q+2) codewords whose supports
     overlap in `overlap` positions (default (q+2)/2)."""
     if overlap is None:
         overlap = (p.q + 2) // 2
-    for pair in _overlapping_pairs(p, overlap, pool=pool):
+    for pair in _overlapping_pairs(p, overlap):
         return pair
     raise NoSuchPair(
         f"no weight-{p.q + 2} codeword pair with overlap {overlap}")
 
 
-def _overlapping_pairs(p: Plane, overlap, pool=None):
-    words = pool if pool is not None else _codeword_pool(p)
+def _overlapping_pairs(p: Plane, overlap):
+    words = _codeword_pool(p)
     sups = [frozenset(i for i, x in enumerate(w) if x) for w in words]
     for a in range(len(words)):
         for b in range(a + 1, len(words)):
@@ -130,7 +126,7 @@ def _trace(x1, x2, overlap, switched, omega_t, cand, rank_t=None, notes=""):
     )
 
 
-def _switch_search(p: Plane, pool, admissible):
+def _switch_search(p: Plane, admissible):
     """For each default-overlap codeword pair, switch s = log2(q) zeros of
     their sum to twos; yield (x1, x2, omega_t, switch, cand) for each
     switch set that passes `admissible` and whose result certifies
@@ -138,7 +134,7 @@ def _switch_search(p: Plane, pool, admissible):
     as they are."""
     s = p.q.bit_length() - 1
     H = incidence_matrix(p)
-    for x1, x2 in _overlapping_pairs(p, (p.q + 2) // 2, pool=pool):
+    for x1, x2 in _overlapping_pairs(p, (p.q + 2) // 2):
         omega_t = tuple(a + b for a, b in zip(x1, x2))
         zeros = [i for i, x in enumerate(omega_t) if x == 0]
         for switch in combinations(zeros, s):
@@ -150,13 +146,12 @@ def _switch_search(p: Plane, pool, admissible):
                 yield x1, x2, omega_t, switch, cand
 
 
-def ex3_minimal_pcw(p: Plane, pool=None) -> ConstructionTrace:
+def ex3_minimal_pcw(p: Plane) -> ConstructionTrace:
     """Sum a default-overlap minimum-weight codeword pair, then switch
     s = log2(q) zeros to twos so the result certifies minimal."""
     # Any two distinct points share a line, so the q=4 "on the same line"
     # requirement holds for every switch set.
-    for x1, x2, omega_t, switch, cand in _switch_search(
-            p, pool, lambda switch: True):
+    for x1, x2, omega_t, switch, cand in _switch_search(p, lambda switch: True):
         return _trace(x1, x2, (p.q + 2) // 2, {i: 2 for i in switch},
                       omega_t, cand, active_rank(incidence_matrix(p), omega_t))
     raise SearchExhausted("no switch set certified a minimal pseudo-codeword")
@@ -176,8 +171,7 @@ def _is_simplex_configuration(p: Plane, points):
     return True
 
 
-def conjectured_family_search(p: Plane, pool=None,
-                              max_candidates=None) -> ConstructionTrace:
+def conjectured_family_search(p: Plane, max_candidates=None) -> ConstructionTrace:
     """Search switch sets of size s = log2(q) in simplex configuration whose
     result certifies minimal; the conjecture's target type is
     t_1 = q+2, t_2 = q/2 + s + 1."""
@@ -192,7 +186,7 @@ def conjectured_family_search(p: Plane, pool=None,
                 f"candidate budget {max_candidates} exhausted")
         return True
 
-    for x1, x2, omega_t, switch, cand in _switch_search(p, pool, admissible):
+    for x1, x2, omega_t, switch, cand in _switch_search(p, admissible):
         if awgnc_pw(cand) == target:
             return _trace(
                 x1, x2, (p.q + 2) // 2, {i: 2 for i in switch}, omega_t, cand,
@@ -200,7 +194,7 @@ def conjectured_family_search(p: Plane, pool=None,
     raise SearchExhausted("no simplex switch set realized the conjecture")
 
 
-def ex5_procedure(p: Plane, pool=None) -> ConstructionTrace:
+def ex5_procedure(p: Plane) -> ConstructionTrace:
     """Two-zero-line procedure on PG(2, 4): overlap-2 codeword pair, find
     fully zero lines L1, L2, raise a point on each to the maximal feasible
     alpha and certify minimality at alpha = 2."""
@@ -208,7 +202,7 @@ def ex5_procedure(p: Plane, pool=None) -> ConstructionTrace:
         raise ValueError("the procedure is specific to q = 4")
     H = incidence_matrix(p)
     found_zero_lines = False
-    for x1, x2 in _overlapping_pairs(p, 2, pool=pool):
+    for x1, x2 in _overlapping_pairs(p, 2):
         omega_t = tuple(Fraction(a + b) for a, b in zip(x1, x2))
         zero_lines = [j for j in range(p.n)
                       if all(omega_t[i] == 0 for i in p.lines[j])]

@@ -91,7 +91,7 @@ def zero_optimal(H: ParityCheck, llr: LLRVector, constraints=None) -> DecodeOutc
 
     res = lp_solve(LinearProgram(list(llr.entries),
                                  [(dict.fromkeys(range(n), 1), EQ, 1)],
-                                 [(0, None)] * n, separate=separate))
+                                 separate=separate))
     if res.status != OPTIMAL:
         raise LpNotOptimal(f"cone-slice LP ended {res.status}")
     value = res.optimal_value
@@ -163,9 +163,10 @@ def feldman_lp_decode(H: ParityCheck, llr: LLRVector):
     return sol, all(x in (0, 1) for x in sol)
 
 
-def bsc_sweep(H: ParityCheck, e, L=1, samples=None, seed=None) -> SweepStats:
+def bsc_sweep(H: ParityCheck, e, samples=None, seed=None) -> SweepStats:
     """Classify flip patterns of weight e via zero_optimal: every pattern,
-    or, when ``samples`` is given, that many seeded random ones."""
+    or, when ``samples`` is given, that many seeded random ones. The LLR
+    magnitude is 1; a positive rescaling changes no classification."""
     n = H.n_cols
     if samples is None:
         if comb(n, e) > 10 ** 6:
@@ -180,7 +181,7 @@ def bsc_sweep(H: ParityCheck, e, L=1, samples=None, seed=None) -> SweepStats:
     counts = {ZERO_STRICTLY_OPTIMAL: 0, TIE: 0, FAILURE: 0}
     total = 0
     for flips in patterns:
-        outcome = zero_optimal(H, llr_from_flips(n, flips, L))
+        outcome = zero_optimal(H, llr_from_flips(n, flips, 1))
         counts[outcome.status] += 1
         total += 1
     return SweepStats(e=e, patterns=total,

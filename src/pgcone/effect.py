@@ -10,6 +10,7 @@ from .cone import PseudoCodeword, _dot
 from .errors import IncompleteRaySet, LpNotOptimal
 from .rays import RaySet
 from .simplex import GE, OPTIMAL, LinearProgram, lp_solve
+from .weights import bsc_pw
 
 FIRST = "First"
 SECOND_ONLY = "SecondOnly"
@@ -67,7 +68,6 @@ def bsc_effectiveness(rayset: RaySet, omega, L=1) -> EffectivenessReport:
 
 def cor8_screen(omega, q) -> str:
     """Necessary BSC-second-kind window: q+2 <= bsc_pw <= 2q+2."""
-    from .weights import bsc_pw
     w = bsc_pw(omega)
     if q + 2 <= w <= 2 * q + 2:
         return POSSIBLY_EFFECTIVE

@@ -95,55 +95,30 @@ class LpResult:
     tight_constraints: list = field(default_factory=list)
 
 
-def _to_standard_form(lp: LinearProgram):
-    """Rewrite as min c.y, A y (rel) b with y >= 0, where y_k = x_k - lo_k
-    and an upper bound is the row y_k <= hi_k - lo_k, after lp.constraints.
-
-    Returns (rows, expand, recover): rows are (map, rel, rhs); expand maps
-    a row (a, rel, b) in the original variables to that form (the same
-    map, b less a . lo; ValueError on a variable out of range); recover
-    maps a tableau's basic solution to (x, d), the variables as x / d.
-    """
-    lows = [lo for lo, _ in lp.bounds]
-    n = len(lows)
-
-    def expand(row, rel, b):
-        for k, a in row.items():
-            if not 0 <= k < n:
+def _append(tableau, basis, zrow, rows, lows):
+    """Add rows (a, rel, b) in the original variables to the tableau as the
+    module docstring says. A row's standard form is a y (rel) b - a . lo
+    (ValueError on a variable out of range), and an EQ row enters as its
+    LE half, then its GE half. Each half, times sign (-1 for GE) and the
+    lcm m of its denominators, gets its slack at +m, basic. zrow gains the
+    zero reduced costs of the new slacks. Returns each row's slack column
+    (an EQ row's: that of its LE half)."""
+    width = len(zrow) - 1
+    halves, slacks = [], []
+    for coeffs, rel, b in rows:
+        for k, a in coeffs.items():
+            if not 0 <= k < len(lows):
                 raise ValueError("constraint dimension mismatch")
             if lows[k]:
                 b -= a * lows[k]
-        return row, rel, b
-
-    rows = [expand(*row) for row in lp.constraints] + [
-        ({k: 1}, LE, hi - lo) for k, (lo, hi) in enumerate(lp.bounds)
-        if hi is not None]
-
-    def recover(tableau, basis):
-        # A basic column's y is its row's rhs / factor, and x = lo + y.
-        basic = [(b, row) for b, row in zip(basis, tableau)
-                 if b < n and row[-1]]
-        d = lcm(*(lo.denominator for lo in lows), *(r[b] for b, r in basic))
-        x = [lo.numerator * (d // lo.denominator) for lo in lows]
-        for b, row in basic:
-            x[b] += row[-1] * (d // row[b])
-        return x, d
-
-    return rows, expand, recover
-
-
-def _append(tableau, basis, zrow, rows):
-    """Add inequality rows (sparse coeffs, LE or GE, b) to the tableau as
-    the module docstring says: each times sign (-1 for GE) and the lcm m of
-    its denominators, with its slack at +m and basic. zrow gains the zero
-    reduced costs of the new slacks."""
-    width = len(zrow) - 1
-    full = width + len(rows)
+        slacks.append(width + len(halves))
+        for sign in (1, -1) if rel == EQ else (1 if rel == LE else -1,):
+            halves.append((coeffs, sign, b))
+    full = width + len(halves)
     for row in (*tableau, zrow):
-        row[-1:-1] = [0] * len(rows)
+        row[-1:-1] = [0] * len(halves)
     new = []
-    for k, (coeffs, rel, b) in enumerate(rows, width):
-        sign = 1 if rel == LE else -1
+    for k, (coeffs, sign, b) in enumerate(halves, width):
         m = lcm(b.denominator, *(a.denominator for a in coeffs.values()))
         row = [0] * (full + 1)
         for idx, a in coeffs.items():
@@ -153,22 +128,31 @@ def _append(tableau, basis, zrow, rows):
         new.append(_reduced_costs(tableau, basis, row, full))
     tableau.extend(new)
     basis.extend(range(width, full))
+    return slacks
+
+
+def _recover(tableau, basis, lows):
+    """The tableau's basic solution as (x, d), the variables as ints x over
+    one positive common denominator d: a basic column's y is its row's
+    rhs / factor, and x = lo + y."""
+    basic = [(b, row) for b, row in zip(basis, tableau)
+             if b < len(lows) and row[-1]]
+    d = lcm(*(lo.denominator for lo in lows), *(r[b] for b, r in basic))
+    x = [lo.numerator * (d // lo.denominator) for lo in lows]
+    for b, row in basic:
+        x[b] += row[-1] * (d // row[b])
+    return x, d
 
 
 def lp_solve(lp: LinearProgram) -> LpResult:
-    rows, expand, recover = _to_standard_form(lp)
-    n = len(lp.objective)
-    # An EQ row enters as its LE half and its GE half. slacks holds the
-    # slack column of each row of lp.constraints (an EQ row's LE half),
-    # then of each separated row in the order the rows are added.
-    halves, slacks = [], []
-    for k, (coeffs, rel, b) in enumerate(rows):
-        if k < len(lp.constraints):
-            slacks.append(n + len(halves))
-        for half in (LE, GE) if rel == EQ else (rel,):
-            halves.append((coeffs, half, b))
-    tableau, basis, zero = [], [], [0] * (n + 1)
-    _append(tableau, basis, zero, halves)
+    lows = [lo for lo, _ in lp.bounds]
+    tableau, basis, zero = [], [], [0] * (len(lows) + 1)
+    # slacks holds the slack column of each row of lp.constraints, then of
+    # each separated row in the order the rows are added; the upper-bound
+    # rows follow lp.constraints in the tableau.
+    slacks = _append(tableau, basis, zero, lp.constraints + [
+        ({k: 1}, LE, hi) for k, (_, hi) in enumerate(lp.bounds)
+        if hi is not None], lows)[:len(lp.constraints)]
     if _dual(tableau, basis, zero) == INFEASIBLE:
         return LpResult(status=INFEASIBLE)
     z = _reduced_costs(tableau, basis, _scaled_to_ints(lp.objective),
@@ -176,17 +160,13 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     if _run(tableau, basis, z) == UNBOUNDED:
         return LpResult(status=UNBOUNDED)
     while True:
-        x, d = recover(tableau, basis)
+        x, d = _recover(tableau, basis, lows)
         cuts = lp.separate(x, d) if lp.separate is not None else None
         if not cuts:
             break
-        new = []
-        for a, rel, b in cuts:
-            if rel == EQ:
-                raise ValueError("separated rows must be inequalities")
-            new.append(expand(a, rel, b))
-        slacks.extend(range(len(z) - 1, len(z) - 1 + len(new)))
-        _append(tableau, basis, z, new)
+        if any(rel == EQ for _, rel, _ in cuts):
+            raise ValueError("separated rows must be inequalities")
+        slacks += _append(tableau, basis, z, cuts, lows)
         if _dual(tableau, basis, z) == INFEASIBLE:
             return LpResult(status=INFEASIBLE)
     value = Fraction(sum(ci * v for ci, v in zip(lp.objective, x) if v), d)

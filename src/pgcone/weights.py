@@ -32,6 +32,8 @@ def bsc_pw(omega) -> int:
     vec = sorted((x for x in _vec(omega) if x != 0), reverse=True)
     if not vec:
         raise ZeroVector("BSC pseudo-weight of the zero vector is undefined")
+    if vec[-1] < 0:
+        raise ValueError("entries must be nonnegative")
     total = sum(vec)
     acc = e = 0
     while 2 * acc < total:
@@ -123,7 +125,10 @@ def bound_cor4(omega) -> BoundReport:
     vec = [x for x in _vec(omega) if x != 0]
     if not vec:
         raise ZeroVector("Cor4 requires a nonzero vector")
-    r = max(vec) / min(vec)
+    low = min(vec)
+    if low < 0:
+        raise ValueError("entries must be nonnegative")
+    r = max(vec) / low
     value = 4 * r / ((r + 1) ** 2) * len(vec)
     return BoundReport("Cor4", value, parameters={"r": r, "supp": len(vec)})
 

@@ -49,24 +49,23 @@ def test_criterion_02_code_parameters(H2, H4, H8):
         assert all(sum(w) == q + 2 for w in found)
 
 
-def test_criterion_03_overlap_switch_construction(plane2, plane4,
-                                                 codewords2, codewords4):
+def test_criterion_03_overlap_switch_construction(plane2, plane4):
     """Certified-minimal overlap-switch vectors vs. the 4(q+2)/3 bound."""
-    t2 = ex3_minimal_pcw(plane2, pool=codewords2)
+    t2 = ex3_minimal_pcw(plane2)
     assert t2.minimal
     assert t2.pseudo_weights["AWGNC"] == Fraction(25, 4)
     assert bound_thm5(2) == Fraction(16, 3)
     assert t2.pseudo_weights["AWGNC"] > bound_thm5(2)
-    t4 = ex3_minimal_pcw(plane4, pool=codewords4)
+    t4 = ex3_minimal_pcw(plane4)
     assert t4.minimal
     assert t4.pseudo_weights["AWGNC"] == Fraction(128, 13)
     assert bound_thm5(4) == 8
     assert t4.pseudo_weights["AWGNC"] > bound_thm5(4)
 
 
-def test_criterion_04_two_zero_line_procedure(plane4, codewords4):
+def test_criterion_04_two_zero_line_procedure(plane4):
     """q=4 alpha procedure: type (8,8,5), max alpha 2, rank 20."""
-    trace = ex5_procedure(plane4, pool=codewords4)
+    trace = ex5_procedure(plane4)
     t = trace.final_type
     assert (t.t0, t.get(1), t.get(2)) == (8, 8, 5)
     assert set(trace.switched.values()) == {Fraction(2)}

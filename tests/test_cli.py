@@ -221,6 +221,41 @@ def test_vector_from_file(tmp_path, capsys):
     assert "AWGNC 25/4" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text, message", [
+    ("{}", 'must be an object with an "entries" list'),
+    ("[1, 2]", 'must be an object with an "entries" list'),
+    ('{"entries": 5}', 'must be an object with an "entries" list'),
+    ('{"entries": ["1/0", 0, 0, 0, 0, 0, 0]}', "not a rational: '1/0'"),
+    ('{"entries": [null, 0, 0, 0, 0, 0, 0]}', "not a rational: None"),
+])
+def test_malformed_vector_file_exit_code(tmp_path, capsys, text, message):
+    path = tmp_path / "vec.json"
+    path.write_text(text)
+    assert run(tmp_path, "cone", "member", "--q", "2",
+               "--vector", f"@{path}") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_zero_denominator_in_a_vector(tmp_path, capsys):
+    assert run(tmp_path, "cone", "member", "--q", "2",
+               "--vector", "1/0,0,0,0,0,0,0") == 1
+    assert capsys.readouterr().err == "error: not a rational: '1/0'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("decode", "zero-opt", "--q", "2", "--L", "1/0"),
+    ("rays", "histogram", "--rayset", "rays.jsonl", "--kind", "BEC",
+     "--bin-width", "1/0"),
+    ("effective", "bsc", "--rayset", "rays.jsonl", "--L", "1/0"),
+])
+def test_zero_denominator_option_is_a_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv)
+    assert exc.value.code == 2
+    assert "invalid Fraction value: '1/0'" in capsys.readouterr().err
+
+
 def test_domain_error_exit_code(tmp_path, capsys):
     # q=3 is not a supported plane order: domain error, exit 1.
     assert run(tmp_path, "plane", "build", "--q", "3") == 1

@@ -14,29 +14,29 @@ from pgcone.plane import incidence_matrix
 from pgcone.weights import bound_thm5, conjectured_wp, thm5_applicable
 
 
-def test_overlapping_pair_q2(plane2, codewords2):
-    x1, x2 = overlapping_pair(plane2, pool=codewords2)
+def test_overlapping_pair_q2(plane2):
+    x1, x2 = overlapping_pair(plane2)
     s1 = {i for i, x in enumerate(x1) if x}
     s2 = {i for i, x in enumerate(x2) if x}
     assert len(s1) == len(s2) == 4
     assert len(s1 & s2) == 2
 
 
-def test_overlapping_pair_q4(plane4, codewords4):
-    x1, x2 = overlapping_pair(plane4, pool=codewords4)
+def test_overlapping_pair_q4(plane4):
+    x1, x2 = overlapping_pair(plane4)
     s1 = {i for i, x in enumerate(x1) if x}
     s2 = {i for i, x in enumerate(x2) if x}
     assert len(s1 & s2) == 3
 
 
-def test_no_pair_with_excess_overlap(plane2, codewords2):
+def test_no_pair_with_excess_overlap(plane2):
     # Distinct minimum-weight supports never share 3 of their 4 points.
     with pytest.raises(NoSuchPair):
-        overlapping_pair(plane2, overlap=3, pool=codewords2)
+        overlapping_pair(plane2, overlap=3)
 
 
-def test_ex3_q2(plane2, codewords2):
-    trace = ex3_minimal_pcw(plane2, pool=codewords2)
+def test_ex3_q2(plane2):
+    trace = ex3_minimal_pcw(plane2)
     t = trace.final_type
     assert (t.get(1), t.get(2)) == (4, 3)
     assert trace.pseudo_weights["AWGNC"] == Fraction(25, 4)
@@ -45,15 +45,15 @@ def test_ex3_q2(plane2, codewords2):
     assert len(trace.switched) == 1
 
 
-def test_ex3_q2_intermediate(plane2, codewords2):
-    trace = ex3_minimal_pcw(plane2, pool=codewords2)
+def test_ex3_q2_intermediate(plane2):
+    trace = ex3_minimal_pcw(plane2)
     t = type_of(trace.intermediate)
     assert (t.get(1), t.get(2)) == (4, 2)
     assert trace.ranks["intermediate"] < 6
 
 
-def test_ex3_q4(plane4, codewords4):
-    trace = ex3_minimal_pcw(plane4, pool=codewords4)
+def test_ex3_q4(plane4):
+    trace = ex3_minimal_pcw(plane4)
     t = trace.final_type
     assert (t.get(1), t.get(2)) == (6, 5)
     assert trace.pseudo_weights["AWGNC"] == Fraction(128, 13)
@@ -61,22 +61,22 @@ def test_ex3_q4(plane4, codewords4):
     assert len(trace.switched) == 2
 
 
-def test_ex3_q4_switches_share_a_line(plane4, codewords4):
-    trace = ex3_minimal_pcw(plane4, pool=codewords4)
+def test_ex3_q4_switches_share_a_line(plane4):
+    trace = ex3_minimal_pcw(plane4)
     a, b = sorted(trace.switched)
     plane4.line_through(a, b)  # raises if the points were equal
 
 
-def test_ex3_dominates_bound(plane2, plane4, codewords2, codewords4):
-    for p, pool, q in ((plane2, codewords2, 2), (plane4, codewords4, 4)):
-        trace = ex3_minimal_pcw(p, pool=pool)
+def test_ex3_dominates_bound(plane2, plane4):
+    for p, q in ((plane2, 2), (plane4, 4)):
+        trace = ex3_minimal_pcw(p)
         assert thm5_applicable(trace.final_type, q)
         assert trace.pseudo_weights["AWGNC"] > bound_thm5(q)
         assert trace.pseudo_weights["AWGNC"] == conjectured_wp(q)
 
 
-def test_ex3_mod2_reduces_to_codeword(plane2, codewords2):
-    trace = ex3_minimal_pcw(plane2, pool=codewords2)
+def test_ex3_mod2_reduces_to_codeword(plane2):
+    trace = ex3_minimal_pcw(plane2)
     H = incidence_matrix(plane2)
     word = mod2_reduce(trace.final.canonical)
     assert any(word)
@@ -87,15 +87,15 @@ def test_ex3_mod2_reduces_to_codeword(plane2, codewords2):
     assert word == tuple(a ^ b for a, b in zip(x1, x2))
 
 
-def test_conjectured_family_q2(plane2, codewords2):
-    trace = conjectured_family_search(plane2, pool=codewords2)
+def test_conjectured_family_q2(plane2):
+    trace = conjectured_family_search(plane2)
     t = trace.final_type
     assert (t.get(1), t.get(2)) == (4, 3)
     assert trace.pseudo_weights["AWGNC"] == conjectured_wp(2)
 
 
-def test_conjectured_family_q4(plane4, codewords4):
-    trace = conjectured_family_search(plane4, pool=codewords4)
+def test_conjectured_family_q4(plane4):
+    trace = conjectured_family_search(plane4)
     t = trace.final_type
     assert (t.get(1), t.get(2)) == (6, 5)
     assert trace.pseudo_weights["AWGNC"] == conjectured_wp(4)
@@ -116,13 +116,12 @@ def test_simplex_configuration_q8(plane8):
     (2, 0, None), (2, 1, {6: 2}), (4, 27, None), (4, 28, {5: 2, 18: 2})])
 def test_conjectured_family_candidate_budget(request, q, budget, switched):
     p = request.getfixturevalue(f"plane{q}")
-    pool = request.getfixturevalue(f"codewords{q}")
     if switched is None:
         with pytest.raises(SearchExhausted,
                            match=f"candidate budget {budget} exhausted"):
-            conjectured_family_search(p, pool=pool, max_candidates=budget)
+            conjectured_family_search(p, max_candidates=budget)
     else:
-        trace = conjectured_family_search(p, pool=pool, max_candidates=budget)
+        trace = conjectured_family_search(p, max_candidates=budget)
         assert trace.switched == switched
 
 
@@ -148,8 +147,8 @@ def test_max_alpha_zero_line_blocks(plane2, codewords2):
         assert max_alpha(H, base, {zero}) == 0
 
 
-def test_max_alpha_matches_switch_threshold(plane2, codewords2):
-    trace = ex3_minimal_pcw(plane2, pool=codewords2)
+def test_max_alpha_matches_switch_threshold(plane2):
+    trace = ex3_minimal_pcw(plane2)
     H = incidence_matrix(plane2)
     (pos,) = trace.switched
     alpha = max_alpha(H, trace.intermediate, {pos})
@@ -161,8 +160,8 @@ def test_max_alpha_matches_switch_threshold(plane2, codewords2):
     assert not is_member(H, raised)[0]
 
 
-def test_ex5(plane4, codewords4):
-    trace = ex5_procedure(plane4, pool=codewords4)
+def test_ex5(plane4):
+    trace = ex5_procedure(plane4)
     t = trace.final_type
     assert (t.t0, t.get(1), t.get(2)) == (8, 8, 5)
     assert set(trace.switched.values()) == {2}
@@ -176,8 +175,8 @@ def test_ex5(plane4, codewords4):
     assert not is_member(H, over)[0]
 
 
-def test_ex5_intermediate_type(plane4, codewords4):
-    trace = ex5_procedure(plane4, pool=codewords4)
+def test_ex5_intermediate_type(plane4):
+    trace = ex5_procedure(plane4)
     t = type_of(trace.intermediate)
     assert (t.t0, t.get(1), t.get(2)) == (11, 8, 2)
     assert trace.ranks["intermediate"] == 19
@@ -188,9 +187,9 @@ def test_ex5_requires_q4(plane2):
         ex5_procedure(plane2)
 
 
-def test_trace_json(plane2, codewords2):
+def test_trace_json(plane2):
     import json
-    trace = ex3_minimal_pcw(plane2, pool=codewords2)
+    trace = ex3_minimal_pcw(plane2)
     obj = json.loads(trace.to_json())
     assert obj["minimal"] is True
     assert obj["overlap"] == 2

@@ -218,9 +218,23 @@ def test_beale_cycling_lp():
     assert res.tight_constraints == [1, 2]
 
 
-def test_fractional_data_against_oracle():
+def _pivot_counter(monkeypatch):
+    """The list of pivot columns, one per _pivot_full call from now on."""
+    pivots = []
+    pivot = simplex._pivot_full
+
+    def counted(tableau, zrow, basis, r, col):
+        pivots.append(col)
+        return pivot(tableau, zrow, basis, r, col)
+
+    monkeypatch.setattr(simplex, "_pivot_full", counted)
+    return pivots
+
+
+def test_fractional_data_against_oracle(monkeypatch):
     # Denominators 1-9 in the objective, the rows, the right-hand sides
     # and the box, so each is scaled to ints by a nontrivial lcm.
+    pivots = _pivot_counter(monkeypatch)
     rng = random.Random(41)
 
     def frac():
@@ -251,6 +265,9 @@ def test_fractional_data_against_oracle():
             if sum(a * v for a, v in zip(row, x)) == b]
         solved += 1
     assert solved >= 30
+    # The rows enter the tableau in the same order, so Bland's rule takes
+    # the same pivots.
+    assert len(pivots) == 205
 
 
 def test_duality_bound_on_cone_slice(H2):
@@ -304,10 +321,11 @@ def _added_rows(rows, separate):
     return added, recording
 
 
-def test_separated_rows_match_the_full_lp():
+def test_separated_rows_match_the_full_lp(monkeypatch):
     # Box-bounded LPs with fractional data: visible rows (EQ ones too) in
     # constraints, further GE/LE rows only behind the oracle. The warm
     # re-solve must end where a cold solve of every row ends.
+    pivots = _pivot_counter(monkeypatch)
     rng = random.Random(43)
 
     def frac():
@@ -356,6 +374,7 @@ def test_separated_rows_match_the_full_lp():
             if sum(a * v for a, v in zip(row, x)) == b]
     assert kinds[OPTIMAL] >= 50 and kinds[INFEASIBLE] >= 10
     assert rounds >= 100
+    assert len(pivots) == 702  # warm and cold solves together
 
 
 def test_separated_row_can_make_the_lp_infeasible():

@@ -27,6 +27,15 @@ def test_awgnc_negative_entry_rejected():
         awgnc_pw([1, -1])
 
 
+@pytest.mark.parametrize("vec", [[-1, 0, 0], [2, -1], [1, 3, Fraction(-1, 2)]])
+def test_bsc_and_cor4_negative_entry_rejected(vec):
+    # bsc_pw([-1, 0, 0]) once read -1 and bound_cor4([-1, 2]) -16.
+    with pytest.raises(ValueError, match="nonnegative"):
+        bsc_pw(vec)
+    with pytest.raises(ValueError, match="nonnegative"):
+        bound_cor4(vec)
+
+
 def test_awgnc_q4_value():
     vec = [1] * 6 + [2] * 5 + [0] * 10
     assert awgnc_pw(vec) == Fraction(128, 13)
