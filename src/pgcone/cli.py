@@ -66,7 +66,7 @@ def _load_vector(text):
     if text.startswith("@"):
         with open(text[1:]) as fh:
             return PseudoCodeword.from_json(fh.read())
-    return PseudoCodeword(_rational(x) for x in text.split(","))
+    return PseudoCodeword(text.split(","))
 
 
 def cmd_plane_build(args):
@@ -251,8 +251,7 @@ def cmd_construct_ex3(args):
 
 
 def cmd_construct_ex5(args):
-    p, _ = _plane_and_matrix(args)
-    trace = construct.ex5_procedure(p)
+    trace = construct.ex5_procedure(build_plane(4))
     _write(args, "construct_ex5_q4.json", trace.to_json())
     print(trace.notes)
     return 0
@@ -331,7 +330,7 @@ def build_parser():
 
     construct_p = sub.add_parser("construct").add_subparsers(dest="sub", required=True)
     add(construct_p, "ex3", cmd_construct_ex3, q=q_arg)
-    add(construct_p, "ex5", cmd_construct_ex5, q={"type": int, "default": 4})
+    add(construct_p, "ex5", cmd_construct_ex5)
     add(construct_p, "conjecture", cmd_construct_conjecture, q=q_arg,
         max_candidates={"type": int})
 

@@ -100,7 +100,12 @@ class PseudoCodeword:
     def __init__(self, entries):
         if isinstance(entries, PseudoCodeword):
             entries = entries.entries
-        entries = tuple(Fraction(x) for x in entries)
+        try:
+            entries = tuple(map(Fraction, entries))
+        except (TypeError, ZeroDivisionError, OverflowError):
+            for x in entries:  # a sequence: _rational names the bad entry
+                _rational(x)
+            raise ValueError("entries must be rationals") from None
         if any(x < 0 for x in entries):
             raise ValueError("pseudo-codeword entries must be nonnegative")
         self.entries = entries
@@ -139,12 +144,19 @@ class PseudoCodeword:
     @classmethod
     def from_json(cls, text):
         """The vector of a ``to_json`` text: an object whose "entries" list
-        holds rationals. ValueError, naming what is malformed, otherwise."""
-        obj = json.loads(text)
+        holds rationals (decimals read exactly) and whose "n" and
+        "canonical", when present, agree with it. LengthMismatch for
+        another "n"; ValueError, naming what is malformed, otherwise."""
+        obj = json.loads(text, parse_float=Fraction)
         if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
             raise ValueError('a vector file must be an object with an '
                              '"entries" list')
-        return cls(_rational(e) for e in obj["entries"])
+        vec = cls(obj["entries"])
+        if obj.get("n", vec.n) != vec.n:
+            raise LengthMismatch(f'"n" is {obj["n"]!r} for {vec.n} entries')
+        if "canonical" in obj and obj["canonical"] != list(vec.canonical):
+            raise ValueError('"canonical" is not the entries\' primitive form')
+        return vec
 
 
 class TypeVector:
@@ -324,11 +336,12 @@ def active_rank(H: ParityCheck, omega) -> int:
 
 
 def is_minimal(H: ParityCheck, omega) -> bool:
-    """Extreme ray of the cone: nonzero with tight rank n - 1."""
+    """Extreme ray of the cone: a nonzero member with tight rank n - 1."""
     ints = _ints(omega)
-    if not any(ints):
+    try:
+        return any(ints) and active_rank(H, ints) == H.n_cols - 1
+    except NotInCone:
         return False
-    return active_rank(H, ints) == H.n_cols - 1
 
 
 def type_of(omega) -> TypeVector:
@@ -345,14 +358,27 @@ def support(omega):
     return frozenset(i for i, x in enumerate(vec) if x != 0)
 
 
+def max_stopping_subset(H: ParityCheck, point_set) -> frozenset:
+    """Largest stopping set inside the point set, by peeling positions that
+    some check sees alone; ValueError for a position outside 0..n-1."""
+    E = set(point_set)
+    if any(not 0 <= i < H.n_cols for i in E):
+        raise ValueError(f"positions must lie in 0..{H.n_cols - 1}")
+    changed = True
+    while changed and E:
+        changed = False
+        for row in H.rows:
+            hits = [i for i in row if i in E]
+            if len(hits) == 1:
+                E.discard(hits[0])
+                changed = True
+    return frozenset(E)
+
+
 def is_stopping_set(H: ParityCheck, point_set) -> bool:
-    """Every check touching the set must touch it at least twice."""
-    pts = set(point_set)
-    for row in H.rows:
-        hits = sum(1 for i in row if i in pts)
-        if hits == 1:
-            return False
-    return True
+    """Peeling removes nothing: no check touches the set exactly once."""
+    pts = frozenset(point_set)
+    return max_stopping_subset(H, pts) == pts
 
 
 def mod2_reduce(omega):

@@ -8,7 +8,8 @@ from fractions import Fraction
 from itertools import combinations, count
 from math import inf
 
-from .cone import PseudoCodeword, _vec, active_rank, is_member, type_of
+from .cone import (PseudoCodeword, _vec, active_rank, is_member, is_minimal,
+                   type_of)
 from .errors import (DimensionTooLarge, NoSuchPair, NotInCone, NoZeroLinePair,
                      SearchExhausted)
 from .plane import (Plane, find_hyperovals, incidence_matrix, mask_to_vector,
@@ -141,8 +142,7 @@ def _switch_search(p: Plane, admissible):
             if not admissible(switch):
                 continue
             cand = _switched(omega_t, switch, 2)
-            if is_member(H, cand)[0] and \
-                    active_rank(H, cand) == H.n_cols - 1:
+            if is_minimal(H, cand):
                 yield x1, x2, omega_t, switch, cand
 
 
@@ -218,7 +218,7 @@ def ex5_procedure(p: Plane) -> ConstructionTrace:
                     if alpha is inf or alpha <= 0:
                         continue
                     cand = _switched(omega_t, (p0, pt1, pt2), alpha)
-                    if active_rank(H, cand) != p.n - 1:
+                    if not is_minimal(H, cand):
                         continue
                     return _trace(
                         x1, x2, 2, {p0: alpha, pt1: alpha, pt2: alpha},

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .cone import PseudoCodeword, _row
+from .cone import PseudoCodeword, _row, max_stopping_subset
 from .errors import EmptyFlips, LpNotOptimal, TooManyPatterns
 from .plane import ParityCheck
 from .simplex import EQ, GE, LE, OPTIMAL, LinearProgram, lp_solve
@@ -187,21 +187,6 @@ def bsc_sweep(H: ParityCheck, e, samples=None, seed=None) -> SweepStats:
     return SweepStats(e=e, patterns=total,
                       corrected=counts[ZERO_STRICTLY_OPTIMAL],
                       ties=counts[TIE], failures=counts[FAILURE])
-
-
-def max_stopping_subset(H: ParityCheck, erasures):
-    """Largest stopping set inside the erasure set, by peeling positions
-    that some check sees alone."""
-    E = set(erasures)
-    changed = True
-    while changed and E:
-        changed = False
-        for row in H.rows:
-            hits = [i for i in row if i in E]
-            if len(hits) == 1:
-                E.discard(hits[0])
-                changed = True
-    return frozenset(E)
 
 
 def bec_decode(H: ParityCheck, erasures):

@@ -261,10 +261,13 @@ def arc_check(p: Plane, point_set) -> ArcReport:
 
 
 def find_hyperovals(p: Plane, limit=1):
-    """Backtracking search for (q+2)-arcs; returns up to `limit` of them.
+    """Backtracking search for (q+2)-arcs; returns up to `limit` of them,
+    none for limit 0; a negative limit is a ValueError.
 
     `blocked` is the point mask of the secants, the lines through two
     chosen points; a point off every secant extends the arc."""
+    if limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
     n = p.n
     target = p.q + 2
     results = []
@@ -292,5 +295,6 @@ def find_hyperovals(p: Plane, limit=1):
             if len(results) >= limit:
                 return
 
-    extend([], 0, 0)
+    if limit:
+        extend([], 0, 0)
     return results

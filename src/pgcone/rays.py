@@ -8,6 +8,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import inf
 
 from . import weights
 from .cone import (PseudoCodeword, _eliminate, _ints, _nullspace_from_echelon,
@@ -60,8 +61,9 @@ class RaySet:
                     if (type(fields[k]) is not kind
                             or k == "n" and fields[k] < 0):
                         raise ValueError(f"header {k} is {fields[k]!r}")
-                rays = [PseudoCodeword(json.loads(line)["ray"])
-                        for line in fh if line.strip()]
+                lines = [json.loads(line, parse_float=Fraction)
+                         for line in fh if line.strip()]
+                rays = [PseudoCodeword(obj["ray"]) for obj in lines]
             except (KeyError, TypeError, ValueError) as exc:
                 raise MalformedRaySet(
                     f"{path}: malformed ray-set file "
@@ -123,14 +125,10 @@ def enumerate_rays(H: ParityCheck, budget: Budget = None, seed=None) -> RaySet:
     processed = cs[-n:] + [cs[k] for k in insertion_order(H, seed)]
     full = (1 << n) - 1
     rays = {_unit(n, i): full ^ (1 << i) for i in range(n)}
-    max_seconds = budget.max_seconds if budget is not None else None
-    max_rays = budget.max_rays if budget is not None else None
-    start = time.monotonic()
+    budget = budget or Budget()
+    deadline = inf if budget.max_seconds is None else \
+        time.monotonic() + budget.max_seconds
     complete = True
-
-    def out_of_time():
-        return max_seconds is not None and \
-            time.monotonic() - start > max_seconds
 
     for step in range(n, len(processed)):
         row = processed[step]
@@ -152,7 +150,7 @@ def enumerate_rays(H: ParityCheck, budget: Budget = None, seed=None) -> RaySet:
             holders = {}
             everyone = (1 << len(masks)) - 1
             for rp, mp, vp in pos:
-                if out_of_time():
+                if time.monotonic() > deadline:
                     complete = False
                     break
                 for rm, mm, vm in neg:
@@ -174,8 +172,8 @@ def enumerate_rays(H: ParityCheck, budget: Budget = None, seed=None) -> RaySet:
                     new = _primitive([vp * b - vm * c for b, c in zip(rm, rp)])
                     keep.setdefault(new, common | bit)
         rays = keep
-        if not complete or out_of_time() or \
-                (max_rays is not None and len(rays) > max_rays):
+        if not complete or time.monotonic() > deadline or \
+                (budget.max_rays is not None and len(rays) > budget.max_rays):
             complete = False
             break
 
@@ -238,7 +236,7 @@ def support_guided_rays(H: ParityCheck) -> RaySet:
                 full = [0] * n
                 for i, x in zip(S, vec):
                     full[i] = x
-                if is_member(H, full)[0] and is_minimal(H, full):
+                if is_minimal(H, full):
                     found.add(tuple(full))
     return RaySet(rays=tuple(found), h_matrix_id=H.matrix_id(),
                   complete=True, n=n)

@@ -176,7 +176,7 @@ def bound_generalized(q, m) -> Fraction:
 
 
 def conjectured_wp(q) -> Fraction:
-    """AWGNC pseudo-weight of the conjectured type t_1 = q+2,
-    t_2 = q/2 + s + 1 family."""
-    f = Fraction(_log2(q), q + 2)
-    return Fraction(4, 3) * (q + 2) * (1 + f) / (1 + f / (3 * (1 + f)))
+    """AWGNC pseudo-weight (t_1 + 2 t_2)^2 / (t_1 + 4 t_2) of the
+    conjectured type t_1 = q+2, t_2 = q/2 + s + 1, s = log2(q)."""
+    t1, t2 = q + 2, q // 2 + _log2(q) + 1
+    return Fraction((t1 + 2 * t2) ** 2, t1 + 4 * t2)

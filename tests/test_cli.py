@@ -237,6 +237,19 @@ def test_malformed_vector_file_exit_code(tmp_path, capsys, text, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("entries, awgnc", [
+    ("0.1, 0.2", "9/5 (1.8)"),
+    # Binary 0.3 is not three times binary 0.1, so this one tells exact
+    # decimals from floats; binary 0.2 is exactly twice binary 0.1.
+    ("0.1, 0.3", "8/5 (1.6)"),
+])
+def test_vector_file_decimals_are_exact(tmp_path, capsys, entries, awgnc):
+    path = tmp_path / "dec.json"
+    path.write_text(f'{{"entries": [{entries}, 0, 0, 0, 0, 0]}}')
+    assert run(tmp_path, "weights", "compute", "--vector", f"@{path}") == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"AWGNC {awgnc}"
+
+
 def test_zero_denominator_in_a_vector(tmp_path, capsys):
     assert run(tmp_path, "cone", "member", "--q", "2",
                "--vector", "1/0,0,0,0,0,0,0") == 1
@@ -281,7 +294,6 @@ def test_q_is_validated_before_any_output(tmp_path, capsys):
     ("cone", "member", "--q", "2", "--vector", "1,-1,0,0,0,0,0"),
     ("cone", "member", "--q", "2", "--vector", "1,abc"),
     ("decode", "zero-opt", "--q", "2", "--flips", "9"),
-    ("construct", "ex5", "--q", "2"),
     ("rays", "histogram", "--rayset", "/nonexistent/rays.jsonl",
      "--kind", "BEC"),
     ("decode", "sweep", "--q", "2", "--e", "1", "--samples", "0"),

@@ -7,8 +7,8 @@ import pytest
 
 from pgcone.cone import (PseudoCodeword, TypeVector, active_rank,
                          cone_constraints, integer_rank, is_member,
-                         is_minimal, is_stopping_set, mod2_reduce, support,
-                         type_of)
+                         is_minimal, is_stopping_set, max_stopping_subset,
+                         mod2_reduce, support, type_of)
 from pgcone.errors import LengthMismatch, NonInteger, NotInCone
 from pgcone.rays import Budget, enumerate_rays
 
@@ -94,6 +94,20 @@ def test_zero_vector_not_minimal(H2):
     assert not is_minimal(H2, [0] * 7)
 
 
+def test_is_minimal_is_false_off_the_cone(H2, H4):
+    rng = random.Random(18)
+    cases = [(H2, [1, 0, 0, 0, 0, 0, 0]), (H2, [1, 1, 1, 1, 1, 1, -1])]
+    for H in (H2, H4):
+        for _ in range(25):
+            vec = [rng.randint(0, 3) for _ in range(H.n_cols)]
+            vec[rng.randrange(H.n_cols)] = sum(vec) + 1
+            cases.append((H, vec))
+    for H, vec in cases:
+        assert not is_member(H, vec)[0]
+        assert is_minimal(H, vec) is False
+        assert is_minimal(H, [Fraction(x, 3) for x in vec]) is False
+
+
 def test_canonical_form():
     pcw = PseudoCodeword([Fraction(1, 2), Fraction(1, 3), 0])
     assert pcw.canonical == (3, 2, 0)
@@ -110,6 +124,38 @@ def test_pcw_json_round_trip():
     pcw = PseudoCodeword([Fraction(1, 2), 2, 0])
     back = PseudoCodeword.from_json(pcw.to_json())
     assert back == pcw
+
+
+@pytest.mark.parametrize("entries, message", [
+    (["1/0", 1], "not a rational: '1/0'"),
+    ([1, None], "not a rational: None"),
+    ([float("inf")], "not a rational: inf"),
+    ((x for x in ["1/0"]), "entries must be rationals"),
+])
+def test_bad_rational_entries_are_value_errors(entries, message):
+    with pytest.raises(ValueError) as exc:
+        PseudoCodeword(entries)
+    assert str(exc.value) == message
+
+
+def test_from_json_reads_decimals_exactly():
+    pcw = PseudoCodeword.from_json('{"entries": [0.1, 0, 0]}')
+    assert pcw.entries == (Fraction(1, 10), 0, 0)
+    pcw = PseudoCodeword.from_json('{"entries": [2.5e-1, 1e400, "1/3"]}')
+    assert pcw.entries == (Fraction(1, 4), 10 ** 400, Fraction(1, 3))
+
+
+def test_from_json_checks_n_and_canonical():
+    with pytest.raises(LengthMismatch, match='"n" is 21 for 3 entries'):
+        PseudoCodeword.from_json(
+            '{"n": 21, "entries": [1, 0, 0], "canonical": [5, 5]}')
+    for text in ('{"entries": [1, 0, 0], "canonical": [5, 5]}',
+                 '{"entries": [2, 0, 2], "canonical": [2, 0, 2]}'):
+        with pytest.raises(ValueError, match="entries' primitive form"):
+            PseudoCodeword.from_json(text)
+    pcw = PseudoCodeword.from_json(
+        '{"n": 3, "entries": ["1/2", 1, 0], "canonical": [1, 2, 0]}')
+    assert pcw.entries == (Fraction(1, 2), 1, 0)
 
 
 def test_type_of_zero():
@@ -142,6 +188,34 @@ def test_support_and_stopping_sets(H2, codewords2):
 def test_member_support_is_stopping_set(H2, rays2):
     for r in rays2:
         assert is_stopping_set(H2, support(r))
+
+
+def _one_pass_stopping(H, S):
+    """The one-pass test: no check touches S exactly once."""
+    return all(sum(1 for i in row if i in S) != 1 for row in H.rows)
+
+
+def test_stopping_set_is_a_peeling_fixed_point(H2, H4):
+    rng = random.Random(5)
+    cases = [(H2, frozenset(i for i in range(7) if mask >> i & 1))
+             for mask in range(1 << 7)]
+    cases += [(H4, frozenset(rng.sample(range(21), rng.randint(0, 12))))
+              for _ in range(200)]
+    stopping = 0
+    for H, S in cases:
+        peeled = max_stopping_subset(H, S)
+        assert peeled <= S and _one_pass_stopping(H, peeled)
+        assert is_stopping_set(H, S) == (peeled == S) \
+            == _one_pass_stopping(H, S)
+        stopping += peeled == S
+    assert stopping >= 10
+
+
+@pytest.mark.parametrize("points", [{99}, {7}, {-1}, {0, 1, 7}])
+def test_stopping_positions_out_of_range(H2, points):
+    for call in (max_stopping_subset, is_stopping_set):
+        with pytest.raises(ValueError, match=r"positions must lie in 0\.\.6"):
+            call(H2, points)
 
 
 def test_mod2_reduce():

@@ -5,12 +5,13 @@ from math import inf
 
 import pytest
 
-from pgcone.cone import is_member, mod2_reduce, type_of
+from pgcone.cone import is_member, is_minimal, mod2_reduce, type_of
 from pgcone.construct import (_is_simplex_configuration,
                               conjectured_family_search, ex3_minimal_pcw,
                               ex5_procedure, max_alpha, overlapping_pair)
-from pgcone.errors import NoSuchPair, SearchExhausted
-from pgcone.plane import incidence_matrix
+from pgcone.errors import DimensionTooLarge, NoSuchPair, SearchExhausted
+from pgcone.plane import (find_hyperovals, incidence_matrix, mask_to_vector,
+                          min_weight_codewords)
 from pgcone.weights import bound_thm5, conjectured_wp, thm5_applicable
 
 
@@ -59,6 +60,22 @@ def test_ex3_q4(plane4):
     assert trace.pseudo_weights["AWGNC"] == Fraction(128, 13)
     assert trace.ranks["final"] == 20
     assert len(trace.switched) == 2
+
+
+def test_ex3_q8_from_the_hyperoval_search(plane8):
+    # The PG(2, 8) code is too large for the exhaustive codeword search, so
+    # the pool comes from find_hyperovals.
+    H = incidence_matrix(plane8)
+    with pytest.raises(DimensionTooLarge):
+        min_weight_codewords(H, 10)
+    trace = ex3_minimal_pcw(plane8)
+    assert trace.final_type.counts == {1: 10, 2: 8}
+    assert trace.pseudo_weights["AWGNC"] == Fraction(338, 21) \
+        == conjectured_wp(8)
+    assert trace.ranks["final"] == 72 and is_minimal(H, trace.final)
+    assert list(trace.generators) == [
+        mask_to_vector(sum(1 << i for i in pts), plane8.n)
+        for pts in find_hyperovals(plane8, 2)]
 
 
 def test_ex3_q4_switches_share_a_line(plane4):

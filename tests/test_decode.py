@@ -8,7 +8,7 @@ from math import lcm
 
 import pytest
 
-from pgcone import decode
+from pgcone import cone, decode
 from pgcone.cone import cone_constraints, is_member
 from pgcone.decode import (FAILURE, ZERO_STRICTLY_OPTIMAL, LLRVector,
                            bec_decode, bsc_sweep, canonical_completion,
@@ -319,6 +319,13 @@ def test_max_stopping_subset(H2, codewords2):
     assert max_stopping_subset(H2, {0}) == frozenset()
     assert max_stopping_subset(H2, set(oval) | {min(set(range(7)) - oval)}) \
         >= oval
+
+
+def test_stopping_sets_are_decided_in_cone(H2):
+    assert decode.max_stopping_subset is cone.max_stopping_subset
+    for erasures in ({99}, {-1}, {0, 7}):
+        with pytest.raises(ValueError, match=r"positions must lie in 0\.\.6"):
+            bec_decode(H2, erasures)
 
 
 def test_bec_decode(H2, codewords2):

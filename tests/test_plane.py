@@ -256,6 +256,12 @@ def test_find_hyperovals(plane2, plane4):
     assert arc_check(plane4, one[0]).is_hyperoval
 
 
+def test_find_hyperovals_limit(plane2):
+    assert find_hyperovals(plane2, limit=0) == []
+    with pytest.raises(ValueError, match="limit must be nonnegative, got -1"):
+        find_hyperovals(plane2, limit=-1)
+
+
 def test_find_hyperovals_q4_is_exhaustive(plane4, codewords4):
     # Minimum-weight supports are the hyperovals, so a search that finds
     # all 168 of them, in lexicographic order, misses none.

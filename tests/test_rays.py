@@ -169,12 +169,22 @@ def test_jsonl_rejects_ray_length_mismatch(tmp_path, rays2):
     ['{"h_matrix_id": "x", "complete": "false", "n": 1}', '{"ray": [1]}'],
     ['{"h_matrix_id": "x", "complete": true, "n": "1"}', '{"ray": [1]}'],
     ['{"h_matrix_id": "x", "complete": true, "n": -1}'],
+    ['{"h_matrix_id": "x", "complete": true, "n": 2}', '{"ray": ["1/0", 1]}'],
+    ['{"h_matrix_id": "x", "complete": true, "n": 2}', '{"ray": [Infinity, 1]}'],
+    ['{"h_matrix_id": "x", "complete": true, "n": 2}', '{"ray": [null, 1]}'],
 ])
 def test_jsonl_rejects_malformed_files(tmp_path, lines):
     path = tmp_path / "bad.jsonl"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(MalformedRaySet, match="bad.jsonl"):
         RaySet.load_jsonl(path)
+
+
+def test_jsonl_reads_decimal_rays_exactly(tmp_path):
+    path = tmp_path / "rays.jsonl"
+    path.write_text('{"h_matrix_id": "x", "complete": true, "n": 2}\n'
+                    '{"ray": [0.1, 0.3]}\n{"ray": [1e400, 1]}\n')
+    assert RaySet.load_jsonl(path).canonicals() == [(1, 3), (10 ** 400, 1)]
 
 
 def test_rayset_dedupes_scalar_multiples(rays2):
