@@ -294,6 +294,7 @@ def test_q_is_validated_before_any_output(tmp_path, capsys):
     ("cone", "member", "--q", "2", "--vector", "1,-1,0,0,0,0,0"),
     ("cone", "member", "--q", "2", "--vector", "1,abc"),
     ("decode", "zero-opt", "--q", "2", "--flips", "9"),
+    ("construct", "ex3", "--q", "3"),
     ("rays", "histogram", "--rayset", "/nonexistent/rays.jsonl",
      "--kind", "BEC"),
     ("decode", "sweep", "--q", "2", "--e", "1", "--samples", "0"),
