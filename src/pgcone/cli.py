@@ -165,9 +165,7 @@ def cmd_weights_bounds(args):
 
 def cmd_rays_enumerate(args):
     _, H = _plane_and_matrix(args)
-    budget = None
-    if args.max_seconds is not None or args.max_rays is not None:
-        budget = Budget(max_seconds=args.max_seconds, max_rays=args.max_rays)
+    budget = Budget(max_seconds=args.max_seconds, max_rays=args.max_rays)
     rs = enumerate_rays(H, budget=budget, seed=args.seed)
     path = os.path.join(_out_dir(args), f"rays_q{args.q}.jsonl")
     rs.save_jsonl(path)

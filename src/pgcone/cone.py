@@ -358,27 +358,48 @@ def support(omega):
     return frozenset(i for i, x in enumerate(vec) if x != 0)
 
 
+def _bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _mask(n, positions):
+    """Bitmask of the positions; ValueError for one outside 0..n-1."""
+    mask = 0
+    for i in positions:
+        if not 0 <= i < n:
+            raise ValueError(f"out of range: positions must lie in 0..{n - 1}")
+        mask |= 1 << i
+    return mask
+
+
+def _lone(H: ParityCheck, E):
+    """Mask of the positions of the point mask E that some check meets alone."""
+    lone = 0
+    for m in H.row_masks:
+        if (hit := m & E).bit_count() == 1:
+            lone |= hit
+    return lone
+
+
 def max_stopping_subset(H: ParityCheck, point_set) -> frozenset:
     """Largest stopping set inside the point set, by peeling positions that
-    some check sees alone; ValueError for a position outside 0..n-1."""
-    E = set(point_set)
-    if any(not 0 <= i < H.n_cols for i in E):
-        raise ValueError(f"positions must lie in 0..{H.n_cols - 1}")
-    changed = True
-    while changed and E:
-        changed = False
-        for row in H.rows:
-            hits = [i for i in row if i in E]
-            if len(hits) == 1:
-                E.discard(hits[0])
-                changed = True
-    return frozenset(E)
+    some check sees alone, all of a round at once (the largest stopping
+    subset is unique); ValueError for a position outside 0..n-1."""
+    E = _mask(H.n_cols, point_set)
+    while lone := _lone(H, E):
+        E ^= lone
+    return frozenset(_bits(E))
 
 
 def is_stopping_set(H: ParityCheck, point_set) -> bool:
-    """Peeling removes nothing: no check touches the set exactly once."""
-    pts = frozenset(point_set)
-    return max_stopping_subset(H, pts) == pts
+    """No check touches the set exactly once: peeling removes nothing."""
+    return not _lone(H, _mask(H.n_cols, point_set))
 
 
 def mod2_reduce(omega):

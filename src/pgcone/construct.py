@@ -8,12 +8,12 @@ from fractions import Fraction
 from itertools import combinations, count
 from math import inf
 
-from .cone import (PseudoCodeword, _vec, active_rank, is_member, is_minimal,
-                   type_of)
+from .cone import (PseudoCodeword, _mask, _vec, active_rank, is_member,
+                   is_minimal, type_of)
 from .errors import (DimensionTooLarge, NoSuchPair, NotInCone, NoZeroLinePair,
                      SearchExhausted)
-from .plane import (Plane, find_hyperovals, incidence_matrix, mask_to_vector,
-                    min_weight_codewords)
+from .plane import (Plane, arc_check, find_hyperovals, incidence_matrix,
+                    mask_to_vector, min_weight_codewords)
 from .weights import _channel, awgnc_pw, conjectured_wp
 
 
@@ -90,14 +90,12 @@ def max_alpha(H, base, positions):
     ok, violated = is_member(H, base_vec)
     if not ok:
         raise NotInCone(f"base violates {violated}")
-    positions = set(positions)
+    P = _mask(H.n_cols, positions)
     best = inf
-    for support in H.rows:
-        hit = positions.intersection(support)
-        if len(hit) == 1:
-            (i,) = hit
-            slack = sum(base_vec[k] for k in support) - 2 * base_vec[i]
-            best = min(best, slack)
+    for support, m in zip(H.rows, H.row_masks):
+        if (hit := m & P).bit_count() == 1:
+            i = hit.bit_length() - 1
+            best = min(best, sum(base_vec[k] for k in support) - 2 * base_vec[i])
     return best
 
 
@@ -158,17 +156,10 @@ def ex3_minimal_pcw(p: Plane) -> ConstructionTrace:
 
 
 def _is_simplex_configuration(p: Plane, points):
-    """Pluggable reading of the conjecture's simplex condition: a single
-    point for s=1, any two distinct points with their common line for s=2,
-    and pairwise non-collinear triples (a triangle frame) for s=3."""
-    pts = list(points)
-    if len(pts) <= 2:
-        return True
-    for a, b, c in combinations(pts, 3):
-        line = p.line_through(a, b)
-        if c in p.lines[line]:
-            return False
-    return True
+    """The conjecture's simplex condition, no three points collinear (an
+    arc): a point for s=1, two points and their line for s=2, a triangle
+    frame for s=3."""
+    return arc_check(p, points).is_arc
 
 
 def conjectured_family_search(p: Plane, max_candidates=None) -> ConstructionTrace:

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .cone import PseudoCodeword, _row, max_stopping_subset
+from .cone import PseudoCodeword, _mask, _row, max_stopping_subset
 from .errors import EmptyFlips, LpNotOptimal, TooManyPatterns
 from .plane import ParityCheck
 from .simplex import EQ, GE, LE, OPTIMAL, LinearProgram, lp_solve
@@ -56,10 +56,8 @@ def llr_from_flips(n, flips, L) -> LLRVector:
     L = Fraction(L)
     if L <= 0:
         raise ValueError("L must be positive")
-    flips = set(flips)
-    if not all(0 <= i < n for i in flips):
-        raise ValueError("flip positions out of range")
-    return LLRVector(tuple(-L if i in flips else L for i in range(n)), "BSC")
+    flips = _mask(n, flips)
+    return LLRVector(tuple(-L if flips >> i & 1 else L for i in range(n)), "BSC")
 
 
 def zero_optimal(H: ParityCheck, llr: LLRVector, constraints=None) -> DecodeOutcome:
@@ -104,15 +102,12 @@ def zero_optimal(H: ParityCheck, llr: LLRVector, constraints=None) -> DecodeOutc
 def canonical_completion(H: ParityCheck, flips, q) -> PseudoCodeword:
     """1 on flipped positions, 1/q elsewhere; always a cone member for the
     PG(2, q) matrix because any two variable nodes are at graph distance 2."""
-    flips = set(flips)
+    flips = _mask(H.n_cols, flips)
     if not flips:
         raise EmptyFlips("canonical completion needs at least one flip")
-    n = H.n_cols
-    if not all(0 <= i < n for i in flips):
-        raise ValueError("flip positions out of range")
     inv_q = Fraction(1, q)
-    return PseudoCodeword(tuple(
-        Fraction(1) if i in flips else inv_q for i in range(n)))
+    return PseudoCodeword(tuple(Fraction(1) if flips >> i & 1 else inv_q
+                                for i in range(H.n_cols)))
 
 
 def _odd_set_cut(support, x, scale):

@@ -232,6 +232,8 @@ def mask_to_vector(m, n):
 
 def min_weight_codewords(H: ParityCheck, w_max: int):
     """All nonzero codewords of weight <= w_max by full codebook enumeration."""
+    if w_max < 0:
+        raise ValueError(f"w_max must be nonnegative, got {w_max}")
     basis = gf2_nullspace(H)
     k = len(basis)
     if k > 24:

@@ -11,9 +11,9 @@ from itertools import combinations
 from math import inf
 
 from . import weights
-from .cone import (PseudoCodeword, _eliminate, _ints, _nullspace_from_echelon,
-                   _primitive, cone_constraints, integer_rank, is_member,
-                   is_minimal, is_stopping_set)
+from .cone import (PseudoCodeword, _bits, _eliminate, _ints,
+                   _nullspace_from_echelon, _primitive, cone_constraints,
+                   integer_rank, is_member, is_minimal, is_stopping_set)
 from .errors import LengthMismatch, MalformedRaySet
 from .plane import ParityCheck
 
@@ -191,16 +191,6 @@ def _holder(masks, k):
         if mask & bit:
             h |= 1 << p
     return h
-
-
-def _bits(mask):
-    """Indices of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _unit(n, i):

@@ -195,16 +195,33 @@ def _one_pass_stopping(H, S):
     return all(sum(1 for i in row if i in S) != 1 for row in H.rows)
 
 
-def test_stopping_set_is_a_peeling_fixed_point(H2, H4):
+def _sequential_peel(H, S):
+    """Peeling one position at a time: drop the first position some check
+    touches alone, until none is left."""
+    E = set(S)
+    while True:
+        for row in H.rows:
+            hits = [i for i in row if i in E]
+            if len(hits) == 1:
+                E.discard(hits[0])
+                break
+        else:
+            return frozenset(E)
+
+
+def test_stopping_set_is_a_peeling_fixed_point(H2, H4, H8):
     rng = random.Random(5)
     cases = [(H2, frozenset(i for i in range(7) if mask >> i & 1))
              for mask in range(1 << 7)]
     cases += [(H4, frozenset(rng.sample(range(21), rng.randint(0, 12))))
               for _ in range(200)]
+    cases += [(H8, frozenset(rng.sample(range(73), rng.randint(0, 40))))
+              for _ in range(200)]
     stopping = 0
     for H, S in cases:
         peeled = max_stopping_subset(H, S)
         assert peeled <= S and _one_pass_stopping(H, peeled)
+        assert peeled == _sequential_peel(H, S)
         assert is_stopping_set(H, S) == (peeled == S) \
             == _one_pass_stopping(H, S)
         stopping += peeled == S

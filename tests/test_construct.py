@@ -147,6 +147,13 @@ def test_max_alpha_empty_positions(plane2, codewords2):
     assert max_alpha(H, codewords2[0], set()) is inf
 
 
+@pytest.mark.parametrize("positions", [{7}, {-1}, {0, 7}])
+def test_max_alpha_positions_out_of_range(plane2, codewords2, positions):
+    H = incidence_matrix(plane2)
+    with pytest.raises(ValueError, match=r"positions must lie in 0\.\.6"):
+        max_alpha(H, codewords2[0], positions)
+
+
 def test_max_alpha_fixture(fixture_h):
     # Base (1,1,0): the pivot-2 inequality x0 + x1 >= x2 caps the raise at 2.
     alpha = max_alpha(fixture_h, [1, 1, 0], {2})
