@@ -7,7 +7,6 @@ human-readable summary lines (4 significant digits).
 """
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -16,8 +15,8 @@ from fractions import Fraction
 from . import construct, decode, effect, weights
 from .cone import PseudoCodeword, _rational, active_rank, is_member, type_of
 from .errors import MatrixMismatch, PgconeError
-from .plane import (build_plane, incidence_matrix, min_weight_codewords,
-                    verify_axioms)
+from .plane import (_digest, build_plane, incidence_matrix,
+                    min_weight_codewords, verify_axioms)
 from .rays import Budget, RaySet, enumerate_rays, histogram, histogram_csv
 
 
@@ -42,7 +41,7 @@ def _provenance(args, H=None):
               if k not in ("func",) and v is not None}
     blob = json.dumps(config, sort_keys=True)
     prov = {"config": config,
-            "config_hash": hashlib.sha256(blob.encode()).hexdigest()[:16]}
+            "config_hash": _digest(blob)}
     if H is not None:
         prov["matrix_hash"] = H.matrix_id()
     return prov

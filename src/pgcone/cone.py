@@ -35,12 +35,13 @@ def _rational(x):
 
 
 def _scaled_to_ints(vec):
-    """The Fraction vector times the lcm of its denominators, as ints.
+    """The Fraction vector times the lcm m of its denominators, as ints,
+    and m.
 
     The scale is positive, so every sign and every zero of a dot product
     with an integer row is unchanged."""
     m = lcm(*[x.denominator for x in vec])
-    return [x.numerator * (m // x.denominator) for x in vec]
+    return [x.numerator * (m // x.denominator) for x in vec], m
 
 
 def _primitive(vec):
@@ -117,7 +118,7 @@ class PseudoCodeword:
     @property
     def canonical(self):
         """Unique positive integer multiple with entry gcd 1 (0 maps to 0)."""
-        return _primitive(_scaled_to_ints(self.entries))
+        return _primitive(_scaled_to_ints(self.entries)[0])
 
     def scaled(self, c):
         c = Fraction(c)
@@ -226,7 +227,7 @@ def _ints(omega):
     is 1), any other vector through Fractions and _scaled_to_ints."""
     if isinstance(omega, (tuple, list)) and all(type(x) is int for x in omega):
         return omega
-    return _scaled_to_ints(_vec(omega))
+    return _scaled_to_ints(_vec(omega))[0]
 
 
 def _scan(H: ParityCheck, omega):

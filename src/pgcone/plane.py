@@ -1,13 +1,21 @@
 """PG(2, q) via the Singer/trace difference set, its circulant parity-check
 matrix, GF(2) linear algebra, minimum-weight codewords and arc detection."""
 
-import hashlib
+import binascii
 from dataclasses import dataclass, field
 
 from .errors import DimensionTooLarge, UnsupportedQ
 from .fields import field_new, trace
 
 SUPPORTED_S = (1, 2, 3, 4)
+
+
+def _digest(text):
+    """16 lowercase hex digits: the CRC-32 of the text's bytes, then that of
+    the reversed bytes. The same on every Python version; it tells one
+    matrix or configuration from another, it does not resist forgery."""
+    data = text.encode()
+    return f"{binascii.crc32(data):08x}{binascii.crc32(data[::-1]):08x}"
 
 
 @dataclass(frozen=True)
@@ -106,7 +114,7 @@ class ParityCheck:
         return "\n".join(lines) + "\n"
 
     def matrix_id(self):
-        return hashlib.sha256(self.to_alist().encode()).hexdigest()[:16]
+        return _digest(self.to_alist())
 
 
 @dataclass

@@ -155,7 +155,7 @@ def lp_solve(lp: LinearProgram) -> LpResult:
         if hi is not None], lows)[:len(lp.constraints)]
     if _dual(tableau, basis, zero) == INFEASIBLE:
         return LpResult(status=INFEASIBLE)
-    z = _reduced_costs(tableau, basis, _scaled_to_ints(lp.objective),
+    z = _reduced_costs(tableau, basis, _scaled_to_ints(lp.objective)[0],
                        len(zero) - 1)
     if _run(tableau, basis, z) == UNBOUNDED:
         return LpResult(status=UNBOUNDED)

@@ -4,36 +4,46 @@ AWGNC lower bounds driven by the type of a pseudo-codeword."""
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cone import TypeVector, _vec
+from .cone import TypeVector, _dot, _scaled_to_ints, _vec
 from .errors import BadM, ZeroEta, ZeroVector
+
+
+def _scaled(omega):
+    """The ints x = m omega and their scale m > 0, the lcm of the entries'
+    denominators (``cone._scaled_to_ints``). Every pseudo-weight and
+    vector bound reads omega through here; ValueError for a negative
+    entry."""
+    x, m = _scaled_to_ints(_vec(omega))
+    if x and min(x) < 0:
+        raise ValueError("entries must be nonnegative")
+    return x, m
+
+
+def _norms(omega):
+    """(s1, s2, m) with s1 = m ||omega||_1 and s2 = m^2 ||omega||_2^2."""
+    x, m = _scaled(omega)
+    return sum(x), _dot(x, x), m
 
 
 def awgnc_pw(omega) -> Fraction:
     """||omega||_1^2 / ||omega||_2^2, and 0 for the zero vector."""
-    vec = _vec(omega)
-    if any(x < 0 for x in vec):
-        raise ValueError("entries must be nonnegative")
-    one = sum(vec)
-    if one == 0:
-        return Fraction(0)
-    two = sum(x * x for x in vec)
-    return one * one / two
+    s1, s2, _ = _norms(omega)
+    return Fraction(s1 * s1, s2) if s1 else Fraction(0)
 
 
 def bec_pw(omega) -> int:
     """Support size."""
-    return sum(1 for x in _vec(omega) if x != 0)
+    x, _ = _scaled(omega)
+    return len(x) - x.count(0)
 
 
 def bsc_pw(omega) -> int:
     """Median-mass rule: with e the least number of largest entries covering
     half the total mass, the weight is 2e on an exact tie and 2e - 1 on a
-    strict overshoot."""
-    vec = sorted((x for x in _vec(omega) if x != 0), reverse=True)
+    strict overshoot (the same on any positive multiple of omega)."""
+    vec = sorted((v for v in _scaled(omega)[0] if v), reverse=True)
     if not vec:
         raise ZeroVector("BSC pseudo-weight of the zero vector is undefined")
-    if vec[-1] < 0:
-        raise ValueError("entries must be nonnegative")
     total = sum(vec)
     acc = e = 0
     while 2 * acc < total:
@@ -84,15 +94,18 @@ def bound_lemma1(t: TypeVector) -> BoundReport:
 
 def bound_lemma2(omega, eta) -> BoundReport:
     """(2 eta ||omega||_1 - ||omega||_2^2) / eta^2, tight at
-    eta = ||omega||_2^2 / ||omega||_1."""
+    eta = ||omega||_2^2 / ||omega||_1.
+
+    With eta = a/b (b > 0) and the norms of x = m omega, that is
+    b (2 a m s1 - b s2) / (a m)^2, and eta = s2 / (m s1) when
+    a m s1 = b s2."""
     eta = Fraction(eta)
     if eta == 0:
         raise ZeroEta("eta must be nonzero")
-    vec = _vec(omega)
-    one = sum(vec)
-    two = sum(x * x for x in vec)
-    value = (2 * eta * one - two) / (eta * eta)
-    equality = True if one == 0 else eta == two / one
+    s1, s2, m = _norms(omega)
+    a, b = eta.numerator, eta.denominator
+    value = Fraction(b * (2 * a * m * s1 - b * s2), (a * m) ** 2)
+    equality = s1 == 0 or a * m * s1 == b * s2
     return BoundReport("Lemma2", value, parameters={"eta": eta},
                        equality=equality)
 
@@ -122,13 +135,10 @@ def beta_coefficient(value, eta) -> Fraction:
 
 def bound_cor4(omega) -> BoundReport:
     """4r/(r+1)^2 times the support size, r the max/min positive entry ratio."""
-    vec = [x for x in _vec(omega) if x != 0]
+    vec = [v for v in _scaled(omega)[0] if v]
     if not vec:
         raise ZeroVector("Cor4 requires a nonzero vector")
-    low = min(vec)
-    if low < 0:
-        raise ValueError("entries must be nonnegative")
-    r = max(vec) / low
+    r = Fraction(max(vec), min(vec))
     value = 4 * r / ((r + 1) ** 2) * len(vec)
     return BoundReport("Cor4", value, parameters={"r": r, "supp": len(vec)})
 

@@ -1,9 +1,13 @@
 """Command-line interface: dispatch, artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import pgcone
 from pgcone import cli, cone
 from pgcone.cli import dispatch
 from pgcone.cone import active_rank
@@ -21,6 +25,28 @@ def test_plane_build(tmp_path):
     assert "config_hash" in meta and "matrix_hash" in meta
     alist = (tmp_path / "plane_q2.alist").read_text()
     assert alist.split("\n")[0] == "7 7"
+
+
+def test_no_openssl_on_the_import_path(tmp_path):
+    # A fresh interpreter imports the package and the CLI, enumerates the
+    # q = 2 rays and writes a provenance (config_hash and matrix_hash);
+    # neither hashlib nor OpenSSL's _hashlib gets loaded on the way.
+    code = (
+        "import sys\n"
+        "import pgcone, pgcone.cli\n"
+        "from pgcone import build_plane, enumerate_rays, incidence_matrix\n"
+        "assert len(enumerate_rays(incidence_matrix(build_plane(2)))) == 14\n"
+        f"assert pgcone.cli.dispatch(['--out', {str(tmp_path)!r}, 'plane', "
+        "'build', '--q', '2']) == 0\n"
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n")
+    src = os.path.dirname(os.path.dirname(pgcone.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"
+    meta = json.loads((tmp_path / "plane_q2.json").read_text())
+    assert meta["matrix_hash"] == "98fa0e873bb3fa8f"
+    assert len(meta["config_hash"]) == 16
 
 
 def test_plane_check(tmp_path, capsys):

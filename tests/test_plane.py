@@ -1,6 +1,7 @@
 """Plane construction, incidence matrices, GF(2) linear algebra, arcs."""
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from pgcone.errors import DimensionTooLarge, UnsupportedQ
 from pgcone.plane import (ParityCheck, Plane, arc_check, build_plane,
                           find_hyperovals, gf2_nullspace, gf2_rank,
-                          min_weight_codewords, verify_axioms)
+                          incidence_matrix, min_weight_codewords,
+                          verify_axioms)
 
 
 def test_q2_difference_set():
@@ -140,6 +142,20 @@ def test_alist_round_trip_random():
         back = ParityCheck.from_alist(H.to_alist())
         assert back.rows == H.rows and back.cols == H.cols
         assert back.matrix_id() == H.matrix_id()
+
+
+def test_matrix_id_digest():
+    # 16 lowercase hex digits (CRC-32 of the alist text, then of its
+    # reverse), kept by an alist round trip, one per q; the q = 2 value is
+    # pinned, so a change of digest shows here and in every ray-set header.
+    ids = {}
+    for q in (2, 4, 8, 16):
+        H = incidence_matrix(build_plane(q))
+        ids[q] = H.matrix_id()
+        assert re.fullmatch("[0-9a-f]{16}", ids[q]), ids[q]
+        assert ParityCheck.from_alist(H.to_alist()).matrix_id() == ids[q]
+    assert len(set(ids.values())) == 4
+    assert ids[2] == "98fa0e873bb3fa8f"
 
 
 @pytest.mark.parametrize("index", [0, 4])

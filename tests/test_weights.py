@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from pgcone.cone import TypeVector, is_member, is_minimal, type_of
+from pgcone.cone import (PseudoCodeword, TypeVector, is_member, is_minimal,
+                         type_of)
 from pgcone.errors import BadM, ZeroEta, ZeroVector
 from pgcone.weights import (awgnc_pw, bec_pw, beta_coefficient, bound_cor3,
                             bound_cor4, bound_generalized, bound_lemma1,
@@ -34,6 +35,67 @@ def test_bsc_and_cor4_negative_entry_rejected(vec):
         bsc_pw(vec)
     with pytest.raises(ValueError, match="nonnegative"):
         bound_cor4(vec)
+
+
+@pytest.mark.parametrize("vec", [[-1, 2, 0], [-1, 1, 0], [2, -1],
+                                 [1, 3, Fraction(-1, 2)], ["1/3", "-1/5"]])
+def test_every_vector_weight_rejects_negative_entries(vec):
+    # bound_lemma2([-1, 2, 0], 1) once read -3 and bec_pw([-1, 1, 0]) 2.
+    for call in (awgnc_pw, bec_pw, bsc_pw, bound_cor4,
+                 lambda v: bound_lemma2(v, 1)):
+        with pytest.raises(ValueError, match="entries must be nonnegative"):
+            call(vec)
+
+
+def _lemma2_by_fractions(vec, eta):
+    """bound_lemma2's value and equality, entry by entry in Fraction."""
+    one = sum(vec, Fraction(0))
+    two = sum((x * x for x in vec), Fraction(0))
+    value = (2 * eta * one - two) / (eta * eta)
+    return value, (one == 0 or eta == two / one)
+
+
+def test_integer_norms_match_the_fraction_formulas():
+    # Seeded vectors with mixed denominators, given as ints, strings,
+    # Fractions or a PseudoCodeword, the zero vector among them, each also
+    # under a positive rescaling; the norms must give exactly what the
+    # Fraction formulas give.
+    rng = random.Random(20)
+    forms = (lambda v: [int(x) if x.denominator == 1 else x for x in v],
+             lambda v: [f"{x.numerator}/{x.denominator}" for x in v],
+             list, PseudoCodeword)
+    checked = zeros = 0
+    for k in range(240):
+        n = rng.randint(1, 12)
+        if k % 40 == 0:
+            vec = [Fraction(0)] * n
+        else:
+            dens = (1, 1, 2, 3, 4, 7, 12)
+            vec = [Fraction(rng.randint(0, 9), rng.choice(dens))
+                   if rng.random() < 0.8 else Fraction(0) for _ in range(n)]
+        c = Fraction(rng.randint(1, 30), rng.randint(1, 30))
+        for v in (vec, [c * x for x in vec]):
+            one = sum(v, Fraction(0))
+            two = sum((x * x for x in v), Fraction(0))
+            etas = [Fraction(1), Fraction(4, 3), Fraction(2), Fraction(3)]
+            if one:
+                etas.append(two / one)
+            for form in forms:
+                omega = form(v)
+                pw = awgnc_pw(omega)
+                assert type(pw) is Fraction
+                assert pw == (one * one / two if one else 0), (omega, pw)
+                for eta in etas:
+                    rep = bound_lemma2(omega, eta)
+                    assert type(rep.value) is Fraction
+                    assert (rep.value, rep.equality) == \
+                        _lemma2_by_fractions(v, eta), (omega, eta)
+                if one:
+                    assert bound_lemma2(omega, etas[-1]).equality
+                    assert bound_lemma2(omega, etas[-1]).value == pw
+            checked += 1
+            zeros += not one
+    assert checked >= 400 and zeros >= 10
 
 
 def test_awgnc_q4_value():
