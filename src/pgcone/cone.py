@@ -3,11 +3,11 @@ its label; exact membership and minimality certification via the rank of
 tight constraints (one integer scan, check by check, gives both membership
 and the tight set), type vectors, stopping sets and mod-2 reduction.
 
-It also holds the package's one integer kernel: scaling a Fraction vector
-to ints, gcd reduction to a primitive vector, the dot product, the
-fraction-free row elimination shared by the simplex tableau and the
-oracle's echelon, integer back-substitution for a nullspace generator,
-and integer rank."""
+It also holds the package's one reading of a vector, as ints and their
+scale, and its one integer kernel: gcd reduction to a primitive vector,
+the dot product, the fraction-free row elimination shared by the simplex
+tableau and the oracle's echelon, integer back-substitution for a
+nullspace generator, and integer rank."""
 
 import json
 from fractions import Fraction
@@ -16,13 +16,6 @@ from operator import mul
 
 from .errors import LengthMismatch, NonInteger, NotInCone
 from .plane import ParityCheck
-
-
-def _vec(omega):
-    """Coerce a PseudoCodeword or a raw sequence into a Fraction tuple."""
-    if isinstance(omega, PseudoCodeword):
-        return omega.entries
-    return tuple(Fraction(x) for x in omega)
 
 
 def _rational(x):
@@ -34,14 +27,25 @@ def _rational(x):
         raise ValueError(f"not a rational: {x!r}") from None
 
 
-def _scaled_to_ints(vec):
-    """The Fraction vector times the lcm m of its denominators, as ints,
-    and m.
+def _ints(omega):
+    """The package's one reading of a vector: (x, m), the ints x = m omega
+    with m > 0 the lcm of the entries' denominators. An all-int tuple or
+    list is returned as it is, with m = 1; any other vector (a
+    PseudoCodeword's entries, or an iterable, read once) has its int and
+    Fraction entries read as they are and every other entry through
+    Fraction, whose errors propagate.
 
     The scale is positive, so every sign and every zero of a dot product
     with an integer row is unchanged."""
-    m = lcm(*[x.denominator for x in vec])
-    return [x.numerator * (m // x.denominator) for x in vec], m
+    if isinstance(omega, PseudoCodeword):
+        omega = omega.entries
+    elif isinstance(omega, (tuple, list)) and all(type(v) is int for v in omega):
+        return omega, 1
+    else:
+        omega = [v if isinstance(v, (int, Fraction)) else Fraction(v)
+                 for v in omega]
+    m = lcm(*[v.denominator for v in omega])
+    return [v.numerator * (m // v.denominator) for v in omega], m
 
 
 def _primitive(vec):
@@ -118,7 +122,7 @@ class PseudoCodeword:
     @property
     def canonical(self):
         """Unique positive integer multiple with entry gcd 1 (0 maps to 0)."""
-        return _primitive(_scaled_to_ints(self.entries)[0])
+        return _primitive(_ints(self)[0])
 
     def scaled(self, c):
         c = Fraction(c)
@@ -221,13 +225,10 @@ def cone_constraints(H: ParityCheck) -> dict:
     return {label: _row(H, label) for label in labels}
 
 
-def _ints(omega):
-    """A positive integer multiple of omega, so every dot product with an
-    integer row keeps its sign: an all-int sequence as it is (its lcm scale
-    is 1), any other vector through Fractions and _scaled_to_ints."""
-    if isinstance(omega, (tuple, list)) and all(type(x) is int for x in omega):
-        return omega
-    return _scaled_to_ints(_vec(omega))[0]
+def _check_length(n, expected):
+    """LengthMismatch, naming both lengths, unless n == expected."""
+    if n != expected:
+        raise LengthMismatch(f"expected length {expected}, got {n}")
 
 
 def _scan(H: ParityCheck, omega):
@@ -235,9 +236,8 @@ def _scan(H: ParityCheck, omega):
     test the value sum - 2 x_i of each pivot i, then x_i >= 0. Returns
     (label of the first violated constraint, None) for a non-member, else
     (None, labels of the tight constraints)."""
-    x = _ints(omega)
-    if len(x) != H.n_cols:
-        raise LengthMismatch(f"expected length {H.n_cols}, got {len(x)}")
+    x, _ = _ints(omega)
+    _check_length(len(x), H.n_cols)
     tight = []
     for j, support in enumerate(H.rows):
         vals = [x[i] for i in support]
@@ -338,7 +338,7 @@ def active_rank(H: ParityCheck, omega) -> int:
 
 def is_minimal(H: ParityCheck, omega) -> bool:
     """Extreme ray of the cone: a nonzero member with tight rank n - 1."""
-    ints = _ints(omega)
+    ints, _ = _ints(omega)
     try:
         return any(ints) and active_rank(H, ints) == H.n_cols - 1
     except NotInCone:
@@ -346,17 +346,17 @@ def is_minimal(H: ParityCheck, omega) -> bool:
 
 
 def type_of(omega) -> TypeVector:
-    vec = _vec(omega)
+    x, m = _ints(omega)
     counts = {}
-    for x in vec:
-        if x != 0:
-            counts[x] = counts.get(x, 0) + 1
-    return TypeVector(counts, len(vec))
+    for v in x:
+        if v:
+            counts[v] = counts.get(v, 0) + 1
+    return TypeVector({Fraction(v, m): c for v, c in counts.items()}, len(x))
 
 
 def support(omega):
-    vec = _vec(omega)
-    return frozenset(i for i, x in enumerate(vec) if x != 0)
+    x, _ = _ints(omega)
+    return frozenset(i for i, v in enumerate(x) if v)
 
 
 def _bits(mask):
@@ -405,10 +405,8 @@ def is_stopping_set(H: ParityCheck, point_set) -> bool:
 
 def mod2_reduce(omega):
     """Entrywise parity of an integer-valued vector."""
-    vec = _vec(omega)
-    out = []
-    for x in vec:
-        if x.denominator != 1:
-            raise NonInteger(f"entry {x} is not an integer")
-        out.append(int(x) % 2)
-    return tuple(out)
+    x, m = _ints(omega)
+    for v in x:
+        if v % m:
+            raise NonInteger(f"entry {Fraction(v, m)} is not an integer")
+    return tuple(v // m % 2 for v in x)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations, count
 from math import inf
 
-from .cone import (PseudoCodeword, _mask, _vec, active_rank, is_member,
+from .cone import (PseudoCodeword, _ints, _mask, active_rank, is_member,
                    is_minimal, type_of)
 from .errors import (DimensionTooLarge, NoSuchPair, NotInCone, NoZeroLinePair,
                      SearchExhausted)
@@ -85,9 +85,10 @@ def max_alpha(H, base, positions):
     stays in the cone; exact slack/step ray-shooting. The cone row (j, i)
     changes by step |P & I_j| - 2 [i in P], which is negative only when i
     is the one position on I_j, and then it is -1; its slack is
-    sum(base[I_j]) - 2 base_i. Returns math.inf when no row decreases."""
-    base_vec = _vec(base)
-    ok, violated = is_member(H, base_vec)
+    sum(base[I_j]) - 2 base_i, taken on the ints x = scale * base. Returns
+    a Fraction, or math.inf when no row decreases."""
+    x, scale = _ints(base)
+    ok, violated = is_member(H, x)
     if not ok:
         raise NotInCone(f"base violates {violated}")
     P = _mask(H.n_cols, positions)
@@ -95,12 +96,12 @@ def max_alpha(H, base, positions):
     for support, m in zip(H.rows, H.row_masks):
         if (hit := m & P).bit_count() == 1:
             i = hit.bit_length() - 1
-            best = min(best, sum(base_vec[k] for k in support) - 2 * base_vec[i])
-    return best
+            best = min(best, sum(x[k] for k in support) - 2 * x[i])
+    return best if best is inf else Fraction(best, scale)
 
 
-def _switched(base_vec, positions, value):
-    out = list(base_vec)
+def _switched(base, positions, value):
+    out = list(base)
     for i in positions:
         out[i] = value
     return tuple(out)
@@ -155,13 +156,6 @@ def ex3_minimal_pcw(p: Plane) -> ConstructionTrace:
     raise SearchExhausted("no switch set certified a minimal pseudo-codeword")
 
 
-def _is_simplex_configuration(p: Plane, points):
-    """The conjecture's simplex condition, no three points collinear (an
-    arc): a point for s=1, two points and their line for s=2, a triangle
-    frame for s=3."""
-    return arc_check(p, points).is_arc
-
-
 def conjectured_family_search(p: Plane, max_candidates=None) -> ConstructionTrace:
     """Search switch sets of size s = log2(q) in simplex configuration whose
     result certifies minimal; the conjecture's target type is
@@ -169,8 +163,11 @@ def conjectured_family_search(p: Plane, max_candidates=None) -> ConstructionTrac
     target = conjectured_wp(p.q)
     tried = count(1)
 
+    # The conjecture's simplex condition is that no three switched points
+    # are collinear (an arc): a point for s=1, two points and their line
+    # for s=2, a triangle frame for s=3.
     def admissible(switch):
-        if not _is_simplex_configuration(p, switch):
+        if not arc_check(p, switch).is_arc:
             return False
         if max_candidates is not None and next(tried) > max_candidates:
             raise SearchExhausted(
@@ -194,7 +191,7 @@ def ex5_procedure(p: Plane) -> ConstructionTrace:
     H = incidence_matrix(p)
     found_zero_lines = False
     for x1, x2 in _overlapping_pairs(p, 2):
-        omega_t = tuple(Fraction(a + b) for a, b in zip(x1, x2))
+        omega_t = tuple(a + b for a, b in zip(x1, x2))
         zero_lines = [j for j in range(p.n)
                       if all(omega_t[i] == 0 for i in p.lines[j])]
         for l1, l2 in combinations(zero_lines, 2):

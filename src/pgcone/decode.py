@@ -8,7 +8,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .cone import PseudoCodeword, _mask, _row, max_stopping_subset
+from .cone import (PseudoCodeword, _check_length, _mask, _row,
+                   max_stopping_subset)
 from .errors import EmptyFlips, LpNotOptimal, TooManyPatterns
 from .plane import ParityCheck
 from .simplex import EQ, GE, LE, OPTIMAL, LinearProgram, lp_solve
@@ -75,9 +76,11 @@ def zero_optimal(H: ParityCheck, llr: LLRVector, constraints=None) -> DecodeOutc
     for the full cone LP, so it is that LP's optimum. Each cut's row map
     (``cone._row``) is built when the oracle returns it. ``constraints`` is
     ignored; it is accepted only because older callers pass
-    ``cone_constraints(H)`` there.
+    ``cone_constraints(H)`` there. LengthMismatch for an LLR vector of
+    another length than H's.
     """
     n = H.n_cols
+    _check_length(len(llr.entries), n)
 
     def separate(x, d):
         cuts = []
@@ -137,9 +140,11 @@ def feldman_lp_decode(H: ParityCheck, llr: LLRVector):
     dual simplex from the last basis, until no odd-set row is violated and
     the optimum is the full LP's.
 
-    Returns (fractional solution tuple, integral flag).
+    Returns (fractional solution tuple, integral flag); LengthMismatch for
+    an LLR vector of another length than H's.
     """
     n = H.n_cols
+    _check_length(len(llr.entries), n)
 
     def separate(x, d):
         cuts = []

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .cone import PseudoCodeword, _dot
+from .cone import PseudoCodeword, _check_length, _dot
 from .errors import IncompleteRaySet, LpNotOptimal
 from .rays import RaySet
 from .simplex import GE, OPTIMAL, LinearProgram, lp_solve
@@ -46,8 +46,9 @@ def bsc_effectiveness(rayset: RaySet, omega, L=1) -> EffectivenessReport:
     if L <= 0:
         raise ValueError("L must be positive")
     target = PseudoCodeword(omega).canonical
-    others = [r.canonical for r in rayset if r.canonical != target]
     n = len(target)
+    _check_length(n, rayset.n)
+    others = [r.canonical for r in rayset if r.canonical != target]
     if n > 25:
         raise ValueError("exhaustive scan is limited to n <= 25")
     best_kind = NOT_EFFECTIVE
@@ -83,8 +84,9 @@ def awgnc_first_kind(rayset: RaySet, omega) -> EffectivenessReport:
     if not rayset.complete:
         raise IncompleteRaySet("AWGNC classification needs the full ray set")
     target = PseudoCodeword(omega).canonical
-    others = [r.canonical for r in rayset if r.canonical != target]
     n = len(target)
+    _check_length(n, rayset.n)
+    others = [r.canonical for r in rayset if r.canonical != target]
     rows = [({i: v for i, v in enumerate(o) if v}, GE, 0) for o in others]
     lp = LinearProgram(objective=list(target), constraints=rows,
                        bounds=[(-1, 1)] * n)

@@ -29,18 +29,6 @@ class Plane:
     difference_set: tuple
     lines: tuple = field(repr=False)
 
-    def lines_through(self, point):
-        return [j for j in range(self.n) if point in self.lines[j]]
-
-    def line_through(self, p1, p2):
-        """The unique line through two distinct points."""
-        if p1 == p2:
-            raise ValueError("points must be distinct")
-        for j in range(self.n):
-            if p1 in self.lines[j] and p2 in self.lines[j]:
-                return j
-        raise ValueError("no common line: not a projective plane")
-
 
 class ParityCheck:
     """Square circulant 0/1 incidence matrix with row/column support sets."""

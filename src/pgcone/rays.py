@@ -11,7 +11,7 @@ from itertools import combinations
 from math import inf
 
 from . import weights
-from .cone import (PseudoCodeword, _bits, _eliminate, _ints,
+from .cone import (PseudoCodeword, _bits, _check_length, _eliminate, _ints,
                    _nullspace_from_echelon, _primitive, cone_constraints,
                    integer_rank, is_member, is_minimal, is_stopping_set)
 from .errors import LengthMismatch, MalformedRaySet
@@ -26,12 +26,17 @@ class RaySet:
     n: int = 0
 
     def __post_init__(self):
+        """Rays kept once each, by primitive form, sorted. They share one
+        length, which a nonzero n must equal (LengthMismatch otherwise);
+        n = 0 takes it from the rays."""
         seen = {}
         for r in self.rays:
-            seen[_primitive(_ints(r))] = None
+            seen[_primitive(_ints(r)[0])] = None
         self.rays = tuple(PseudoCodeword(c) for c in sorted(seen))
-        if self.rays:
+        if self.rays and not self.n:
             self.n = self.rays[0].n
+        for r in self.rays:
+            _check_length(r.n, self.n)
 
     def __len__(self):
         return len(self.rays)

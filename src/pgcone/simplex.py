@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .cone import _eliminate, _scaled_to_ints
+from .cone import _eliminate, _ints
 
 GE = ">="
 LE = "<="
@@ -155,7 +155,7 @@ def lp_solve(lp: LinearProgram) -> LpResult:
         if hi is not None], lows)[:len(lp.constraints)]
     if _dual(tableau, basis, zero) == INFEASIBLE:
         return LpResult(status=INFEASIBLE)
-    z = _reduced_costs(tableau, basis, _scaled_to_ints(lp.objective)[0],
+    z = _reduced_costs(tableau, basis, _ints(lp.objective)[0],
                        len(zero) - 1)
     if _run(tableau, basis, z) == UNBOUNDED:
         return LpResult(status=UNBOUNDED)

@@ -4,16 +4,15 @@ AWGNC lower bounds driven by the type of a pseudo-codeword."""
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cone import TypeVector, _dot, _scaled_to_ints, _vec
+from .cone import TypeVector, _dot, _ints
 from .errors import BadM, ZeroEta, ZeroVector
 
 
 def _scaled(omega):
     """The ints x = m omega and their scale m > 0, the lcm of the entries'
-    denominators (``cone._scaled_to_ints``). Every pseudo-weight and
-    vector bound reads omega through here; ValueError for a negative
-    entry."""
-    x, m = _scaled_to_ints(_vec(omega))
+    denominators (``cone._ints``). Every pseudo-weight and vector bound
+    reads omega through here; ValueError for a negative entry."""
+    x, m = _ints(omega)
     if x and min(x) < 0:
         raise ValueError("entries must be nonnegative")
     return x, m

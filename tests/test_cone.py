@@ -9,8 +9,11 @@ from pgcone.cone import (PseudoCodeword, TypeVector, active_rank,
                          cone_constraints, integer_rank, is_member,
                          is_minimal, is_stopping_set, max_stopping_subset,
                          mod2_reduce, support, type_of)
-from pgcone.errors import LengthMismatch, NonInteger, NotInCone
+from pgcone.construct import max_alpha
+from pgcone.errors import LengthMismatch, NonInteger, NotInCone, PgconeError
 from pgcone.rays import Budget, enumerate_rays
+from pgcone.weights import (awgnc_pw, bec_pw, bound_cor4, bound_lemma2,
+                            bsc_pw)
 
 
 def test_constraint_counts(H2, H4, fixture_h):
@@ -337,22 +340,39 @@ def test_integer_rank_with_unit_zero_and_repeated_rows():
     assert min(shapes.values()) >= 100, shapes
 
 
-def _three_forms(vec):
-    """The same vector as ints, as Fractions and as a PseudoCodeword (the
-    last only when nonnegative)."""
-    forms = [tuple(vec), [Fraction(x) for x in vec]]
+def _forms(vec):
+    """The same dyadic vector in every form a reader takes, each as a
+    function that makes it afresh: as given (ints, or Fractions), as
+    Fractions, as a PseudoCodeword (only when nonnegative), as decimal
+    strings, as "p/q" strings, as floats and as a generator."""
+    fracs = [Fraction(x) for x in vec]
+    forms = [lambda: tuple(vec), lambda: list(fracs),
+             lambda: [repr(float(x)) for x in fracs],
+             lambda: [f"{x.numerator}/{x.denominator}" for x in fracs],
+             lambda: [float(x) for x in fracs],
+             lambda: (x for x in vec)]
     if min(vec) >= 0:
-        forms.append(PseudoCodeword(vec))
+        forms.append(lambda: PseudoCodeword(vec))
     return forms
 
 
-def _answers(H, omega):
-    ok, violated = is_member(H, omega)
+def _outcome(f, omega):
+    """f(omega), or the type of the error it raises."""
     try:
-        rank, minimal = active_rank(H, omega), is_minimal(H, omega)
+        return f(omega)
+    except (PgconeError, ValueError) as exc:
+        return type(exc)
+
+
+def _answers(H, make):
+    ok, violated = is_member(H, make())
+    try:
+        rank, minimal = active_rank(H, make()), is_minimal(H, make())
     except NotInCone:
         rank = minimal = "NotInCone"
-    return ok, violated, rank, minimal
+    return (ok, violated, rank, minimal, *(_outcome(f, make()) for f in (
+        type_of, support, awgnc_pw, bsc_pw, bec_pw,
+        lambda v: PseudoCodeword(v).canonical, mod2_reduce)))
 
 
 def test_int_fraction_and_pseudocodeword_inputs_agree(H2, H4, rays2):
@@ -369,15 +389,38 @@ def test_int_fraction_and_pseudocodeword_inputs_agree(H2, H4, rays2):
     negative = list(rays2.rays[0].canonical)
     negative[negative.index(0)] = -1
     cases.append((H2, negative, False))
+    # Each vector also at a quarter of its scale, so the decimal, "p/q"
+    # and float forms hold fractions.
+    cases += [(H, [Fraction(x, 4) for x in vec], member)
+              for H, vec, member in cases]
     for H, vec, member in cases:
-        answers = [_answers(H, form) for form in _three_forms(vec)]
+        answers = [_answers(H, make) for make in _forms(vec)]
         assert all(a == answers[0] for a in answers), vec
-        ok, violated, rank, minimal = answers[0]
+        ok, violated, rank, minimal = answers[0][:4]
         assert ok == member and (violated is None) == member
         if member:
             assert rank == H.n_cols - 1 and minimal is True
         else:
             assert rank == minimal == "NotInCone"
+        integral = all(Fraction(x).denominator == 1 for x in vec)
+        assert (answers[0][-1] is NonInteger) != integral
+    # An entry that is no rational raises Fraction's own error from every
+    # reader, in every form; PseudoCodeword turns each into a ValueError.
+    for bad, error in (("abc", ValueError), (None, TypeError),
+                       ("1/0", ZeroDivisionError)):
+        vec = [1, bad, 1, 1, 0, 0, 0]
+        for make in (lambda: vec, lambda: tuple(vec),
+                     lambda: (x for x in vec)):
+            for f in (lambda v: is_member(H2, v),
+                      lambda v: active_rank(H2, v),
+                      lambda v: is_minimal(H2, v), type_of, support,
+                      mod2_reduce, awgnc_pw, bsc_pw, bec_pw, bound_cor4,
+                      lambda v: bound_lemma2(v, 1),
+                      lambda v: max_alpha(H2, v, {0})):
+                with pytest.raises(error):
+                    f(make())
+            with pytest.raises(ValueError):
+                PseudoCodeword(make())
 
 
 def _dense_reference(H, omega):

@@ -6,12 +6,11 @@ from math import inf
 import pytest
 
 from pgcone.cone import is_member, is_minimal, mod2_reduce, type_of
-from pgcone.construct import (_is_simplex_configuration,
-                              conjectured_family_search, ex3_minimal_pcw,
+from pgcone.construct import (conjectured_family_search, ex3_minimal_pcw,
                               ex5_procedure, max_alpha, overlapping_pair)
 from pgcone.errors import DimensionTooLarge, NoSuchPair, SearchExhausted
-from pgcone.plane import (find_hyperovals, incidence_matrix, mask_to_vector,
-                          min_weight_codewords)
+from pgcone.plane import (arc_check, find_hyperovals, incidence_matrix,
+                          mask_to_vector, min_weight_codewords)
 from pgcone.weights import bound_thm5, conjectured_wp, thm5_applicable
 
 
@@ -81,7 +80,7 @@ def test_ex3_q8_from_the_hyperoval_search(plane8):
 def test_ex3_q4_switches_share_a_line(plane4):
     trace = ex3_minimal_pcw(plane4)
     a, b = sorted(trace.switched)
-    plane4.line_through(a, b)  # raises if the points were equal
+    assert a != b and sum(a in line and b in line for line in plane4.lines) == 1
 
 
 def test_ex3_dominates_bound(plane2, plane4):
@@ -122,11 +121,10 @@ def test_simplex_configuration_q8(plane8):
     # s = 3 switch sets: three collinear points are rejected, a triangle
     # (no point on the line through the other two) is accepted.
     a, b, c = sorted(plane8.lines[0])[:3]
-    assert not _is_simplex_configuration(plane8, (a, b, c))
-    line = plane8.lines[plane8.line_through(a, b)]
-    d = next(x for x in range(plane8.n) if x not in line)
-    assert _is_simplex_configuration(plane8, (a, b, d))
-    assert _is_simplex_configuration(plane8, (a, b))
+    assert not arc_check(plane8, (a, b, c)).is_arc
+    d = next(x for x in range(plane8.n) if x not in plane8.lines[0])
+    assert arc_check(plane8, (a, b, d)).is_arc
+    assert arc_check(plane8, (a, b)).is_arc
 
 
 @pytest.mark.parametrize("q, budget, switched", [

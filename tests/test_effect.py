@@ -6,10 +6,11 @@ import pytest
 
 from pgcone import effect
 from pgcone.cone import PseudoCodeword
+from pgcone.decode import feldman_lp_decode, llr_from_flips, zero_optimal
 from pgcone.effect import (EXCLUDED_BY_RANGE, FIRST, NOT_EFFECTIVE,
                            POSSIBLY_EFFECTIVE, SECOND_ONLY, awgnc_first_kind,
                            bsc_effectiveness, cor8_screen)
-from pgcone.errors import IncompleteRaySet, LpNotOptimal
+from pgcone.errors import IncompleteRaySet, LengthMismatch, LpNotOptimal
 from pgcone.rays import RaySet, enumerate_rays
 from pgcone.simplex import UNBOUNDED, LpResult
 from pgcone.weights import bsc_pw
@@ -96,6 +97,21 @@ def test_awgnc_zero_optimum_is_second_kind_only():
     rep = awgnc_first_kind(rs, (1, 1))
     assert rep.kind == SECOND_ONLY
     assert rep.witness == (0, 0)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("call", [
+    lambda H, rs, n: bsc_effectiveness(rs, [1] * n),
+    lambda H, rs, n: awgnc_first_kind(rs, [1] * n),
+    lambda H, rs, n: zero_optimal(H, llr_from_flips(n, (0,), 1)),
+    lambda H, rs, n: feldman_lp_decode(H, llr_from_flips(n, (0,), 1)),
+], ids=["bsc_effectiveness", "awgnc_first_kind", "zero_optimal",
+        "feldman_lp_decode"])
+def test_wrong_length_vector_is_length_mismatch(H2, rays2, call, n):
+    # n = 7 at q = 2: a shorter or longer vector is not read by truncation
+    # or padding, and no LP is built for it.
+    with pytest.raises(LengthMismatch, match=f"expected length 7, got {n}"):
+        call(H2, rays2, n)
 
 
 def test_bsc_L_validation(rays2):

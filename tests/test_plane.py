@@ -98,15 +98,6 @@ def test_axioms_first_failure_is_pinned(plane2, broken, failure):
     assert report.failure == failure
 
 
-def test_lines_through_and_line_through(plane2):
-    for point in range(plane2.n):
-        assert len(plane2.lines_through(point)) == 3
-    j = plane2.line_through(0, 1)
-    assert 0 in plane2.lines[j] and 1 in plane2.lines[j]
-    with pytest.raises(ValueError):
-        plane2.line_through(3, 3)
-
-
 def test_incidence_matrix_shape_and_weights(H2, H4):
     for H, q in ((H2, 2), (H4, 4)):
         n = q * q + q + 1

@@ -194,6 +194,16 @@ def test_rayset_dedupes_scalar_multiples(rays2):
     assert len(rs) == len(rays2)
 
 
+def test_rayset_checks_lengths():
+    with pytest.raises(LengthMismatch, match="expected length 2, got 3"):
+        RaySet(rays=((1, 0), (1, 0, 0)), h_matrix_id="x", complete=True)
+    with pytest.raises(LengthMismatch, match="expected length 5, got 2"):
+        RaySet(rays=((1, 0),), h_matrix_id="x", complete=True, n=5)
+    assert RaySet(rays=((1, 0),), h_matrix_id="x", complete=True).n == 2
+    assert RaySet(rays=((1, 0),), h_matrix_id="x", complete=True, n=2).n == 2
+    assert RaySet(rays=(), h_matrix_id="x", complete=True, n=5).n == 5
+
+
 def test_histograms(rays2):
     rows = histogram(rays2, "BEC")
     assert rows[0][0] == 4
