@@ -160,6 +160,9 @@ def conjectured_family_search(p: Plane, max_candidates=None) -> ConstructionTrac
     """Search switch sets of size s = log2(q) in simplex configuration whose
     result certifies minimal; the conjecture's target type is
     t_1 = q+2, t_2 = q/2 + s + 1."""
+    if max_candidates is not None and max_candidates < 0:
+        raise ValueError(
+            f"max_candidates must be nonnegative, got {max_candidates}")
     target = conjectured_wp(p.q)
     tried = count(1)
 

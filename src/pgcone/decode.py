@@ -102,13 +102,13 @@ def zero_optimal(H: ParityCheck, llr: LLRVector, constraints=None) -> DecodeOutc
     return DecodeOutcome(TIE if value == 0 else FAILURE, value, witness)
 
 
-def canonical_completion(H: ParityCheck, flips, q) -> PseudoCodeword:
-    """1 on flipped positions, 1/q elsewhere; always a cone member for the
-    PG(2, q) matrix because any two variable nodes are at graph distance 2."""
+def canonical_completion(H: ParityCheck, flips) -> PseudoCodeword:
+    """1 on flipped positions, 1/q elsewhere, q + 1 the size of a check of H;
+    a cone member for PG(2, q), as any two variable nodes are at distance 2."""
     flips = _mask(H.n_cols, flips)
     if not flips:
         raise EmptyFlips("canonical completion needs at least one flip")
-    inv_q = Fraction(1, q)
+    inv_q = Fraction(1, len(H.rows[0]) - 1)
     return PseudoCodeword(tuple(Fraction(1) if flips >> i & 1 else inv_q
                                 for i in range(H.n_cols)))
 

@@ -38,8 +38,8 @@ class EffectivenessReport:
 
 
 def bsc_effectiveness(rayset: RaySet, omega, L=1) -> EffectivenessReport:
-    """Exhaustive scan over lambda in {+-L}^n. Classification depends only on
-    the signs of the inner products, so L is a free positive scale."""
+    """Exhaustive scan over lambda in {+-L}^n, on the signs in {+-1}^n: the
+    classification depends only on signs, so L scales only the witness."""
     if not rayset.complete:
         raise IncompleteRaySet("BSC classification needs the full ray set")
     L = Fraction(L)
@@ -54,16 +54,14 @@ def bsc_effectiveness(rayset: RaySet, omega, L=1) -> EffectivenessReport:
     best_kind = NOT_EFFECTIVE
     witness = None
     for signs in product((1, -1), repeat=n):
-        lam = tuple(s * L for s in signs)
-        own = _dot(target, lam)
-        if own > 0:
-            continue
-        if any(_dot(o, lam) < 0 for o in others):
+        own = _dot(target, signs)
+        if own > 0 or any(_dot(o, signs) < 0 for o in others):
             continue
         if own < 0:
-            return EffectivenessReport(target, f"BSC({L})", FIRST, lam)
+            return EffectivenessReport(target, f"BSC({L})", FIRST,
+                                       tuple(s * L for s in signs))
         if best_kind == NOT_EFFECTIVE:
-            best_kind, witness = SECOND_ONLY, lam
+            best_kind, witness = SECOND_ONLY, tuple(s * L for s in signs)
     return EffectivenessReport(target, f"BSC({L})", best_kind, witness)
 
 

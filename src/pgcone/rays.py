@@ -82,13 +82,13 @@ class RaySet:
 
 @dataclass
 class Budget:
-    """Limits of one run, None for none; a negative one is a ValueError."""
+    """Limits of one run, None for none; a negative or NaN one: ValueError."""
     max_seconds: float = None
     max_rays: int = None
 
     def __post_init__(self):
         for name, limit in vars(self).items():
-            if limit is not None and limit < 0:
+            if limit is not None and not limit >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {limit}")
 
 

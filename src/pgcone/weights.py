@@ -1,5 +1,5 @@
-"""Channel pseudo-weights (AWGNC, BSC, BEC) and the exact-rational family of
-AWGNC lower bounds driven by the type of a pseudo-codeword."""
+"""Channel pseudo-weights (AWGNC, BSC, BEC) and the exact-rational AWGNC
+lower bounds, each one Lemma 2 on a vector or on the vector of a type."""
 
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -60,14 +60,16 @@ def _channel(kind):
     return calc
 
 
+def _entries(t: TypeVector):
+    """The type's one reading as a vector: each nonzero value k, t_k times.
+    Zeros change no pseudo-weight or norm, so they are left out."""
+    return [k for k, v in t.counts.items() for _ in range(v)]
+
+
 def pw_from_type(t: TypeVector, kind: str):
     """Pseudo-weight from a type vector alone: that of a vector with t_k
     entries equal to k; kind in {AWGNC, BSC, BEC}."""
-    calc = _channel(kind)
-    entries = [0] * t.t0
-    for k, v in t.counts.items():
-        entries.extend([k] * v)
-    return calc(entries)
+    return _channel(kind)(_entries(t))
 
 
 @dataclass
@@ -81,65 +83,59 @@ class BoundReport:
 
 
 def bound_lemma1(t: TypeVector) -> BoundReport:
-    """max(15/16 t1 + 12/16 t2, 3/4 t1 + t2); needs values within {0,1,2}."""
+    """Cor. 3 at the better of eta = 4/3 and 2; needs values in {0,1,2}."""
     if any(k not in (1, 2) for k in t.counts):
         return BoundReport("Lemma1", Fraction(0), applicable=False,
                            reason="type has components outside {0, 1, 2}")
-    t1, t2 = t.get(1), t.get(2)
-    value = max(Fraction(15, 16) * t1 + Fraction(12, 16) * t2,
-                Fraction(3, 4) * t1 + t2)
-    return BoundReport("Lemma1", value, parameters={"t1": t1, "t2": t2})
+    value = max(_lemma2(_entries(t), eta)[0] for eta in (Fraction(4, 3), 2))
+    return BoundReport("Lemma1", value,
+                       parameters={"t1": t.get(1), "t2": t.get(2)})
 
 
-def bound_lemma2(omega, eta) -> BoundReport:
-    """(2 eta ||omega||_1 - ||omega||_2^2) / eta^2, tight at
-    eta = ||omega||_2^2 / ||omega||_1.
-
-    With eta = a/b (b > 0) and the norms of x = m omega, that is
-    b (2 a m s1 - b s2) / (a m)^2, and eta = s2 / (m s1) when
-    a m s1 = b s2."""
+def _lemma2(omega, eta):
+    """(value, Fraction(eta), equality) of the one AWGNC lower bound
+    formula. With eta = a/b (b > 0) and the norms of x = m omega, the value
+    b (2 a m s1 - b s2) / (a m)^2 is tight when a m s1 = b s2."""
     eta = Fraction(eta)
     if eta == 0:
         raise ZeroEta("eta must be nonzero")
     s1, s2, m = _norms(omega)
     a, b = eta.numerator, eta.denominator
     value = Fraction(b * (2 * a * m * s1 - b * s2), (a * m) ** 2)
-    equality = s1 == 0 or a * m * s1 == b * s2
+    return value, eta, s1 == 0 or a * m * s1 == b * s2
+
+
+def bound_lemma2(omega, eta) -> BoundReport:
+    """(2 eta ||omega||_1 - ||omega||_2^2) / eta^2, tight at
+    eta = ||omega||_2^2 / ||omega||_1."""
+    value, eta, equality = _lemma2(omega, eta)
     return BoundReport("Lemma2", value, parameters={"eta": eta},
                        equality=equality)
 
 
 def bound_cor3(t: TypeVector, eta) -> BoundReport:
-    """Sum of beta_l t_l with beta_l = l(2 eta - l)/eta^2."""
-    eta = Fraction(eta)
-    if eta == 0:
-        raise ZeroEta("eta must be nonzero")
-    betas = {k: _beta(k, eta) for k in t.counts}
-    value = sum(betas[k] * v for k, v in t.counts.items())
-    return BoundReport("Cor3", Fraction(value),
-                       parameters={"eta": eta, "beta": betas})
-
-
-def _beta(value, eta):
-    """value(2 eta - value)/eta^2 for a Fraction value and eta != 0."""
-    return value * (2 * eta - value) / (eta * eta)
+    """Lemma 2 on the type's vector: the sum of beta_l t_l, where
+    beta_l = l(2 eta - l)/eta^2 is Lemma 2 on the one-entry vector (l)."""
+    value, eta, _ = _lemma2(_entries(t), eta)
+    betas = {k: _lemma2([k], eta)[0] for k in t.counts}
+    return BoundReport("Cor3", value, parameters={"eta": eta, "beta": betas})
 
 
 def beta_coefficient(value, eta) -> Fraction:
-    value, eta = Fraction(value), Fraction(eta)
-    if eta == 0:
-        raise ZeroEta("eta must be nonzero")
-    return _beta(value, eta)
+    """Lemma 2 on the one-entry vector (value): value(2 eta - value)/eta^2."""
+    return _lemma2([value], eta)[0]
 
 
 def bound_cor4(omega) -> BoundReport:
-    """4r/(r+1)^2 times the support size, r the max/min positive entry ratio."""
+    """4r/(r+1)^2 times the support size, r the max/min positive entry
+    ratio: 4 hi lo |supp| / (hi + lo)^2 on the ints of omega."""
     vec = [v for v in _scaled(omega)[0] if v]
     if not vec:
         raise ZeroVector("Cor4 requires a nonzero vector")
-    r = Fraction(max(vec), min(vec))
-    value = 4 * r / ((r + 1) ** 2) * len(vec)
-    return BoundReport("Cor4", value, parameters={"r": r, "supp": len(vec)})
+    hi, lo = max(vec), min(vec)
+    value = Fraction(4 * hi * lo * len(vec), (hi + lo) ** 2)
+    return BoundReport("Cor4", value,
+                       parameters={"r": Fraction(hi, lo), "supp": len(vec)})
 
 
 def _log2(q):
@@ -185,7 +181,7 @@ def bound_generalized(q, m) -> Fraction:
 
 
 def conjectured_wp(q) -> Fraction:
-    """AWGNC pseudo-weight (t_1 + 2 t_2)^2 / (t_1 + 4 t_2) of the
-    conjectured type t_1 = q+2, t_2 = q/2 + s + 1, s = log2(q)."""
+    """AWGNC pseudo-weight of the conjectured type t_1 = q+2,
+    t_2 = q/2 + s + 1, s = log2(q)."""
     t1, t2 = q + 2, q // 2 + _log2(q) + 1
-    return Fraction((t1 + 2 * t2) ** 2, t1 + 4 * t2)
+    return awgnc_pw([1] * t1 + [2] * t2)

@@ -89,14 +89,14 @@ def test_criterion_06_flip_threshold_sweeps(H2):
     e3 = bsc_sweep(H2, 3)
     assert (e3.patterns, e3.corrected, e3.failures) == (35, 0, 35)
     for flips in combinations(range(7), 3):
-        omega = canonical_completion(H2, flips, 2)
+        omega = canonical_completion(H2, flips)
         assert is_member(H2, omega)[0]
         llr = llr_from_flips(7, flips, 1)
         obj = sum(w * l for w, l in zip(omega.entries, llr.entries))
         assert obj == -1
     for flips in list(combinations(range(7), 1)) + \
             list(combinations(range(7), 2)):
-        assert is_member(H2, canonical_completion(H2, flips, 2))[0]
+        assert is_member(H2, canonical_completion(H2, flips))[0]
 
 
 def test_criterion_07_ray_enumeration(H2, H4, rays2, oracle2, codewords4):

@@ -327,6 +327,7 @@ def test_q_is_validated_before_any_output(tmp_path, capsys):
     ("rays", "enumerate", "--q", "2", "--max-rays", "-1"),
     ("rays", "enumerate", "--q", "2", "--max-seconds", "-1"),
     ("codewords", "min", "--q", "2", "--w-max", "-1"),
+    ("rays", "enumerate", "--q", "2", "--max-seconds", "nan"),
 ])
 def test_input_error_exit_code(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 1

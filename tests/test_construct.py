@@ -140,6 +140,14 @@ def test_conjectured_family_candidate_budget(request, q, budget, switched):
         assert trace.switched == switched
 
 
+def test_conjectured_family_negative_budget_rejected(plane2):
+    # A budget of -1 once ran out as SearchExhausted("candidate budget -1
+    # exhausted"); like every other budget it is now a ValueError.
+    with pytest.raises(ValueError,
+                       match="max_candidates must be nonnegative, got -1"):
+        conjectured_family_search(plane2, max_candidates=-1)
+
+
 def test_max_alpha_empty_positions(plane2, codewords2):
     H = incidence_matrix(plane2)
     assert max_alpha(H, codewords2[0], set()) is inf

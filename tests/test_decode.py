@@ -75,7 +75,7 @@ def test_zero_optimal_q4(H4):
         == out.objective
     # The canonical completion (mass 9, objective -5 + 16/4) is a feasible
     # point of the same slice once scaled to mass one.
-    omega = canonical_completion(H4, flips, 4)
+    omega = canonical_completion(H4, flips)
     completion = sum(w * l for w, l in zip(omega.entries, llr.entries)) \
         / sum(omega.entries)
     assert completion == Fraction(-1, 9)
@@ -207,7 +207,7 @@ def test_odd_set_separation_is_exact():
 
 def test_canonical_completion_member_and_objective(H2):
     for e, flips in ((1, {0}), (2, {0, 3}), (3, {1, 2, 6})):
-        omega = canonical_completion(H2, flips, 2)
+        omega = canonical_completion(H2, flips)
         assert is_member(H2, omega)[0]
         llr = llr_from_flips(7, flips, 1)
         obj = sum(w * l for w, l in zip(omega.entries, llr.entries))
@@ -218,7 +218,7 @@ def test_canonical_completion_q4_objective(H4):
     rng = random.Random(21)
     for _ in range(5):
         flips = set(rng.sample(range(21), 5))
-        omega = canonical_completion(H4, flips, 4)
+        omega = canonical_completion(H4, flips)
         assert is_member(H4, omega)[0]
         llr = llr_from_flips(21, flips, 1)
         obj = sum(w * l for w, l in zip(omega.entries, llr.entries))
@@ -227,13 +227,13 @@ def test_canonical_completion_q4_objective(H4):
 
 def test_canonical_completion_empty_rejected(H2):
     with pytest.raises(EmptyFlips):
-        canonical_completion(H2, set(), 2)
+        canonical_completion(H2, set())
 
 
 @pytest.mark.parametrize("flips", [[100], [0, 7], [-1]])
 def test_canonical_completion_rejects_out_of_range_flips(H2, flips):
     with pytest.raises(ValueError, match="out of range"):
-        canonical_completion(H2, flips, 2)
+        canonical_completion(H2, flips)
 
 
 def test_feldman_all_positive(H2):

@@ -81,6 +81,15 @@ def test_budget_returns_partial_certified(H4):
         assert is_minimal(H4, r)
 
 
+@pytest.mark.parametrize("limits", [
+    {"max_seconds": float("nan")}, {"max_seconds": -0.5}, {"max_rays": -1}])
+def test_budget_rejects_what_is_not_a_number_at_least_zero(limits):
+    # Budget(max_seconds=nan) was once accepted; its deadline was NaN, so
+    # the run never stopped on time.
+    with pytest.raises(ValueError, match="must be nonnegative, got"):
+        Budget(**limits)
+
+
 def _fake_clock(monkeypatch):
     """Patch the clock with one that reads 0, 1, 2, ... seconds per call."""
     reads = []

@@ -162,6 +162,33 @@ def test_against_vertex_enumeration_oracle():
             assert res.optimal_value == expected
 
 
+def test_random_box_lps_up_to_four_variables():
+    # Property test: on seeded box-bounded LPs with 2-4 variables, rows of
+    # every relation and fractional data, lp_solve's status and optimum are
+    # those of vertex enumeration in Fractions.
+    rng = random.Random(53)
+
+    def frac():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+
+    seen = {OPTIMAL: 0, INFEASIBLE: 0}
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        c = [frac() for _ in range(n)]
+        rows = [([frac() for _ in range(n)], rng.choice((GE, LE, EQ)), frac())
+                for _ in range(rng.randint(1, 3))]
+        bounds = [(lo, lo + rng.randint(0, 4))
+                  for lo in (frac() for _ in range(n))]
+        res = lp_solve(LinearProgram(list(c), _sparse(rows), list(bounds)))
+        expected = _brute_force_box_min(c, rows, bounds)
+        status = INFEASIBLE if expected is None else OPTIMAL
+        assert res.status == status, (c, rows, bounds)
+        if expected is not None:
+            assert res.optimal_value == expected, (c, rows, bounds)
+        seen[status] += 1
+    assert min(seen.values()) >= 10, seen
+
+
 def _row_holds(row, rel, b, x):
     lhs = sum(a * v for a, v in zip(row, x))
     return {GE: lhs >= b, LE: lhs <= b, EQ: lhs == b}[rel]

@@ -220,15 +220,33 @@ def test_cor3_betas():
     assert beta_coefficient(0, 2) == 0
     with pytest.raises(ZeroEta):
         bound_cor3(TypeVector({1: 1}, 3), 0)
+    # beta_coefficient(-1, 2) once read -5/4; like every weights input
+    # with a negative entry it is now a ValueError.
+    with pytest.raises(ValueError, match="entries must be nonnegative"):
+        beta_coefficient(-1, 2)
 
 
 def test_cor3_matches_lemma2():
+    # Cor. 3 is Lemma 2 on the type's vector, each beta_l is Lemma 2 on
+    # the one-entry vector (l), and Lemma 1 is Cor. 3 at its better of
+    # eta = 4/3 and eta = 2.
     rng = random.Random(13)
     for _ in range(20):
         vec = [rng.randint(0, 3) for _ in range(9)]
         eta = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-        assert bound_cor3(type_of(vec), eta).value == \
-            bound_lemma2(vec, eta).value
+        rep = bound_cor3(type_of(vec), eta)
+        assert rep.value == bound_lemma2(vec, eta).value
+        for l, beta in rep.parameters["beta"].items():
+            assert beta == beta_coefficient(l, eta) == \
+                bound_lemma2([l], eta).value
+    for _ in range(40):
+        vec = [rng.randint(0, 2) for _ in range(rng.randint(1, 12))]
+        t = type_of(vec)
+        assert bound_lemma1(t).value == max(
+            bound_cor3(t, Fraction(4, 3)).value, bound_cor3(t, 2).value)
+    for l in (0, 1, 2, 3, Fraction(1, 2), Fraction(5, 3)):
+        for eta in (Fraction(4, 3), 2, Fraction(-1, 2), 3):
+            assert beta_coefficient(l, eta) == bound_lemma2([l], eta).value
 
 
 def test_cor4():
