@@ -31,21 +31,22 @@ def _ints(omega):
     """The package's one reading of a vector: (x, m), the ints x = m omega
     with m > 0 the lcm of the entries' denominators. An all-int tuple or
     list is returned as it is, with m = 1; any other vector (a
-    PseudoCodeword's entries, or an iterable, read once) has its int and
-    Fraction entries read as they are and every other entry through
-    Fraction, whose errors propagate.
+    PseudoCodeword's entries, or an iterable, read once) has each entry
+    read once, as the numerator and denominator of its
+    ``as_integer_ratio()``: an int or Fraction entry as it is, every other
+    entry through Fraction, whose errors propagate.
 
     The scale is positive, so every sign and every zero of a dot product
     with an integer row is unchanged."""
     if isinstance(omega, PseudoCodeword):
-        omega = omega.entries
+        pairs = [v.as_integer_ratio() for v in omega.entries]
     elif isinstance(omega, (tuple, list)) and all(type(v) is int for v in omega):
         return omega, 1
     else:
-        omega = [v if isinstance(v, (int, Fraction)) else Fraction(v)
-                 for v in omega]
-    m = lcm(*[v.denominator for v in omega])
-    return [v.numerator * (m // v.denominator) for v in omega], m
+        pairs = [(v if isinstance(v, (int, Fraction)) else Fraction(v))
+                 .as_integer_ratio() for v in omega]
+    m = lcm(*[d for _, d in pairs])
+    return [p * (m // d) for p, d in pairs], m
 
 
 def _primitive(vec):

@@ -120,6 +120,19 @@ def enumerate_rays(H: ParityCheck, budget: Budget = None, seed=None) -> RaySet:
        are kept);
     3. algebraic: the rows in C have integer rank n - 2, which decides.
 
+    The combinatorial test reads the rays by id. Each ray gets an int id
+    when it is made (unit ray e_i has id i), and ``holders[k]``, the
+    bitset of the ids of the rays tight at processed row k, is kept across
+    steps: a ray with value 0 on the inserted row enters that row's
+    holder, and a new ray enters the holders of its common set and of the
+    inserted row. A dropped ray only leaves ``alive``, the ids of the
+    current rays, and every test ANDs with ``alive`` as it was at the start
+    of the step, so a ray made during the step is never a third ray. The
+    AND over C is taken one byte of rows at a time: within a step, the AND
+    of ``alive`` and the holders of the rows that one byte of C selects is
+    memoized on (byte offset, byte value), so pairs whose common sets share
+    a byte share its work.
+
     ``max_rays`` is checked after each step and ``max_seconds`` also once
     per positive ray inside a step; a run stopped by either returns
     complete=False. Every returned ray is certified by full membership
@@ -130,30 +143,36 @@ def enumerate_rays(H: ParityCheck, budget: Budget = None, seed=None) -> RaySet:
     processed = cs[-n:] + [cs[k] for k in insertion_order(H, seed)]
     full = (1 << n) - 1
     rays = {_unit(n, i): full ^ (1 << i) for i in range(n)}
+    ids = {r: i for i, r in enumerate(rays)}
+    holders = [full ^ (1 << k) for k in range(n)]
+    alive = full
+    made = n
     budget = budget or Budget()
     deadline = inf if budget.max_seconds is None else \
         time.monotonic() + budget.max_seconds
     complete = True
 
     for step in range(n, len(processed)):
-        row = processed[step]
+        items = tuple(processed[step].items())
         bit = 1 << step
         keep, pos, neg = {}, [], []
+        zero = gone = 0
         for r, mask in rays.items():
-            v = sum(c * r[i] for i, c in row.items())
+            v = sum([c * r[i] for i, c in items])
             if v > 0:
                 keep[r] = mask
                 pos.append((r, mask, v))
             elif v == 0:
                 keep[r] = mask | bit
+                zero |= 1 << ids[r]
             else:
                 neg.append((r, mask, v))
+                gone |= 1 << ids.pop(r)
+        holders.append(zero)
         if neg:
-            masks = list(rays.values())
-            # holders[k]: bit p set when the p-th current ray is tight at
-            # row k, built the first time a pair needs row k.
-            holders = {}
-            everyone = (1 << len(masks)) - 1
+            chunks = (step + 7) // 8
+            memo = {}
+            born = 0
             for rp, mp, vp in pos:
                 if time.monotonic() > deadline:
                     complete = False
@@ -162,20 +181,33 @@ def enumerate_rays(H: ParityCheck, budget: Budget = None, seed=None) -> RaySet:
                     common = mp & mm
                     if common.bit_count() < n - 2:
                         continue
-                    rows = _bits(common)
-                    tight_on_all = everyone
-                    for k in rows:
-                        h = holders.get(k)
-                        if h is None:
-                            h = holders[k] = _holder(masks, k)
-                        tight_on_all &= h
+                    tight_on_all = alive
+                    for o, byte in enumerate(common.to_bytes(chunks, "little")):
+                        if byte:
+                            h = memo.get(key := o << 8 | byte)
+                            if h is None:
+                                h = alive
+                                for j in _BYTE_BITS[byte]:
+                                    h &= holders[8 * o + j]
+                                memo[key] = h
+                            tight_on_all &= h
                     # r+ and r- are two of the rays tight on all of common.
                     if tight_on_all.bit_count() > 2:
                         continue
+                    rows = _bits(common)
                     if integer_rank([processed[k] for k in rows]) != n - 2:
                         continue
                     new = _primitive([vp * b - vm * c for b, c in zip(rm, rp)])
-                    keep.setdefault(new, common | bit)
+                    if new not in keep:
+                        keep[new] = common | bit
+                        ids[new] = made
+                        own = 1 << made
+                        made += 1
+                        born |= own
+                        for k in rows:
+                            holders[k] |= own
+                        holders[step] |= own
+            alive = alive ^ gone | born
         rays = keep
         if not complete or time.monotonic() > deadline or \
                 (budget.max_rays is not None and len(rays) > budget.max_rays):
@@ -188,14 +220,9 @@ def enumerate_rays(H: ParityCheck, budget: Budget = None, seed=None) -> RaySet:
                   complete=complete, n=n)
 
 
-def _holder(masks, k):
-    """Bitset of the positions p whose masks[p] has bit k set."""
-    bit = 1 << k
-    h = 0
-    for p, mask in enumerate(masks):
-        if mask & bit:
-            h |= 1 << p
-    return h
+# _BYTE_BITS[b]: the positions of the set bits of the byte value b.
+_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1)
+                   for b in range(256))
 
 
 def _unit(n, i):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from pgcone.cone import is_member, is_minimal
+from pgcone.cone import integer_rank, is_member, is_minimal
 from pgcone.errors import LengthMismatch, MalformedRaySet
 from pgcone.plane import ParityCheck
 from pgcone.rays import (Budget, RaySet, enumerate_rays, histogram,
@@ -127,21 +127,52 @@ def test_oracle_finds_unit_rays_of_untouched_columns():
     assert len(oracle) == 6
 
 
-def test_random_sparse_against_oracle():
+def _random_sparse_matrices():
+    """15 seeded sparse matrices with 4 to 6 columns and 2 to 5 checks."""
     rng = random.Random(20261018)
-    with_empty_column = 0
     for _ in range(15):
         n = rng.randint(4, 6)
         rows = [rng.sample(range(n), rng.randint(2, min(4, n)))
                 for _ in range(rng.randint(2, 5))]
-        H = ParityCheck(rows, n)
+        yield ParityCheck(rows, n)
+
+
+def test_random_sparse_against_oracle():
+    with_empty_column = 0
+    for H in _random_sparse_matrices():
         with_empty_column += any(not col for col in H.cols)
         oracle = support_guided_rays(H).canonicals()
         for seed in (None, 1, 2):
             rs = enumerate_rays(H, seed=seed)
             assert rs.complete
-            assert rs.canonicals() == oracle, (rows, n, seed)
+            assert rs.canonicals() == oracle, (H.rows, H.n_cols, seed)
     assert with_empty_column > 0
+
+
+def test_combinatorial_test_is_exact(H2, H4, monkeypatch):
+    # Every pair that passes the cardinality and combinatorial tests is
+    # adjacent: the rank test after them always finds rank n - 2. The
+    # counts pin the pairs the combinatorial test admits; q = 4 tight sets
+    # span 16 bytes of rows, so they cover memoized byte chunks at every
+    # offset.
+    ranks = []
+
+    def rank(rows):
+        ranks.append(integer_rank(rows))
+        return ranks[-1]
+    monkeypatch.setattr("pgcone.rays.integer_rank", rank)
+
+    def rank_tests(H, **kwargs):
+        ranks.clear()
+        enumerate_rays(H, **kwargs)
+        assert set(ranks) <= {H.n_cols - 2}
+        return len(ranks)
+    assert rank_tests(H2) == 40
+    assert rank_tests(H2, seed=1) == 66
+    assert rank_tests(H4, budget=Budget(max_rays=800)) == 2130
+    assert rank_tests(H4, budget=Budget(max_rays=200), seed=1) == 269
+    assert sum(rank_tests(H, seed=seed) for H in _random_sparse_matrices()
+               for seed in (None, 1, 2)) == 535
 
 
 def test_oracle_size_gate(H4):
