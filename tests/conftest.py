@@ -7,6 +7,7 @@ The terminal-summary hook prints one PASS/FAIL line per acceptance criterion.
 import pytest
 
 from pgcone import build_plane, incidence_matrix, min_weight_codewords
+from pgcone import simplex
 from pgcone.plane import ParityCheck
 from pgcone.rays import enumerate_rays, support_guided_rays
 
@@ -69,6 +70,20 @@ def codewords2(H2):
 @pytest.fixture(scope="session")
 def codewords4(H4):
     return min_weight_codewords(H4, 6)
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """The list of entering columns, one per simplex pivot from now on."""
+    seen = []
+    pivot = simplex._pivot_full
+
+    def counted(tableau, zrow, basis, r, col):
+        seen.append(col)
+        return pivot(tableau, zrow, basis, r, col)
+
+    monkeypatch.setattr(simplex, "_pivot_full", counted)
+    return seen
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,19 @@ def test_cutting_planes_match_full_lp_q2(H2):
         _assert_matches_full_lp(H2, flips)
 
 
+def test_decode_pivot_counts_q2(H2, pivots):
+    # Both decode LPs over the 63 patterns with 1 <= e <= 3: the pivot rule
+    # and the order in which rows enter the tableau fix these totals.
+    patterns = [flips for e in (1, 2, 3) for flips in combinations(range(7), e)]
+    for flips in patterns:
+        zero_optimal(H2, llr_from_flips(7, flips, 1))
+    assert len(pivots) == 458
+    pivots.clear()
+    for flips in patterns:
+        feldman_lp_decode(H2, llr_from_flips(7, flips, 1))
+    assert len(pivots) == 362
+
+
 def test_cutting_planes_match_full_lp_q4(H4):
     rng = random.Random(5)
     for e in (1, 1, 2, 2, 3, 3):
@@ -261,21 +274,24 @@ def test_feldman_agrees_with_zero_optimal_at_q8(H8):
             assert (integral and not any(sol)) == strict
 
 
-def test_zero_optimal_q8_weight_four(H8):
+def test_zero_optimal_q8_weight_four(H8, pivots):
     # The four e = 4 patterns of random.Random(3), drawn after four
     # patterns each of e = 1, 2 and 3, as in BENCH_6.json.
     rng = random.Random(3)
     for e in (1, 2, 3):
         for _ in range(4):
             rng.sample(range(H8.n_cols), e)
-    objectives = []
+    objectives, counts = [], []
     for _ in range(4):
         flips = sorted(rng.sample(range(H8.n_cols), 4))
         out = zero_optimal(H8, llr_from_flips(H8.n_cols, flips, 1))
         assert out.status == ZERO_STRICTLY_OPTIMAL
         objectives.append(out.objective)
+        counts.append(len(pivots))
+        pivots.clear()
     assert objectives == [Fraction(1, 5), Fraction(4, 15), Fraction(1, 5),
                           Fraction(1, 5)]
+    assert counts == [320, 546, 159, 326]
 
 
 def test_sweep_e1(H2):

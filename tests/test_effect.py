@@ -36,9 +36,10 @@ def test_fixture_bsc_all_first(fixture_h):
         assert bsc_effectiveness(rs, r).kind == FIRST
 
 
-def test_q2_awgnc_theorem(rays2):
+def test_q2_awgnc_theorem(rays2, pivots):
     for r in rays2:
         assert awgnc_first_kind(rays2, r).kind == FIRST
+    assert len(pivots) == 163
 
 
 def test_q2_bsc_classifications(rays2):
