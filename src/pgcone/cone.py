@@ -60,11 +60,10 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
-def _eliminate(row, prow, col):
-    """row := p row - f prow with p = prow[col] > 0 and f = row[col], both
-    divided by their gcd first, then the row divided by the gcd of its
-    entries. Zero at col; a positive factor stays positive."""
-    p, f = prow[col], row[col]
+def _eliminate(row, prow, p, f):
+    """row := p row - f prow with p > 0, p and f divided by their gcd
+    first, then the row divided by the gcd of its entries. A positive
+    factor stays positive."""
     g = gcd(p, f)
     if g > 1:
         p //= g

@@ -166,8 +166,11 @@ def feldman_lp_decode(H: ParityCheck, llr: LLRVector):
 def bsc_sweep(H: ParityCheck, e, samples=None, seed=None) -> SweepStats:
     """Classify flip patterns of weight e via zero_optimal: every pattern,
     or, when ``samples`` is given, that many seeded random ones. The LLR
-    magnitude is 1; a positive rescaling changes no classification."""
+    magnitude is 1; a positive rescaling changes no classification.
+    ValueError for e outside 0..n."""
     n = H.n_cols
+    if not 0 <= e <= n:
+        raise ValueError(f"flip weight e = {e} is outside 0..n = 0..{n}")
     if samples is None:
         if comb(n, e) > 10 ** 6:
             raise TooManyPatterns(f"C({n},{e}) exceeds the exhaustive limit")

@@ -277,7 +277,7 @@ def _rank_deficient_solutions(rows, k):
         r = list(row)
         for pc, pr in echelon:
             if r[pc]:
-                _eliminate(r, pr, pc)
+                _eliminate(r, pr, pr[pc], r[pc])
         return r
 
     def rec(start, depth, echelon):

@@ -74,15 +74,15 @@ def codewords4(H4):
 
 @pytest.fixture
 def pivots(monkeypatch):
-    """The list of entering columns, one per simplex pivot from now on."""
+    """The list of entering labels, one per simplex pivot from now on."""
     seen = []
-    pivot = simplex._pivot_full
+    pivot = simplex._pivot
 
-    def counted(tableau, zrow, basis, r, col):
-        seen.append(col)
-        return pivot(tableau, zrow, basis, r, col)
+    def counted(tableau, z, basis, cols, r, col):
+        seen.append(cols[col])
+        return pivot(tableau, z, basis, cols, r, col)
 
-    monkeypatch.setattr(simplex, "_pivot_full", counted)
+    monkeypatch.setattr(simplex, "_pivot", counted)
     return seen
 
 

@@ -328,6 +328,9 @@ def test_q_is_validated_before_any_output(tmp_path, capsys):
     ("rays", "enumerate", "--q", "2", "--max-seconds", "-1"),
     ("codewords", "min", "--q", "2", "--w-max", "-1"),
     ("rays", "enumerate", "--q", "2", "--max-seconds", "nan"),
+    ("decode", "sweep", "--q", "2", "--e", "-1"),
+    ("decode", "sweep", "--q", "2", "--e", "8", "--samples", "3"),
+    ("decode", "sweep", "--q", "2", "--e", "8"),
 ])
 def test_input_error_exit_code(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 1

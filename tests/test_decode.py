@@ -313,6 +313,14 @@ def test_sweep_sampled_mode(H2):
         bsc_sweep(H2, 1, samples=0)
 
 
+@pytest.mark.parametrize("e, samples", [(-1, None), (8, 3), (8, None)])
+def test_sweep_rejects_a_weight_outside_zero_to_n(H2, e, samples):
+    # -1 reached math.comb, 8 with samples reached random.sample, and 8
+    # without them swept no pattern ("8,0,0,0,0").
+    with pytest.raises(ValueError, match=f"e = {e} is outside 0..n = 0..7"):
+        bsc_sweep(H2, e, samples=samples, seed=1)
+
+
 def test_sweep_pattern_gate():
     H = ParityCheck([[i, (i + 1) % 60] for i in range(60)], 60)
     with pytest.raises(TooManyPatterns):

@@ -245,23 +245,9 @@ def test_beale_cycling_lp():
     assert res.tight_constraints == [1, 2]
 
 
-def _pivot_counter(monkeypatch):
-    """The list of pivot columns, one per _pivot_full call from now on."""
-    pivots = []
-    pivot = simplex._pivot_full
-
-    def counted(tableau, zrow, basis, r, col):
-        pivots.append(col)
-        return pivot(tableau, zrow, basis, r, col)
-
-    monkeypatch.setattr(simplex, "_pivot_full", counted)
-    return pivots
-
-
-def test_fractional_data_against_oracle(monkeypatch):
+def test_fractional_data_against_oracle(pivots):
     # Denominators 1-9 in the objective, the rows, the right-hand sides
     # and the box, so each is scaled to ints by a nontrivial lcm.
-    pivots = _pivot_counter(monkeypatch)
     rng = random.Random(41)
 
     def frac():
@@ -348,11 +334,10 @@ def _added_rows(rows, separate):
     return added, recording
 
 
-def test_separated_rows_match_the_full_lp(monkeypatch):
+def test_separated_rows_match_the_full_lp(pivots):
     # Box-bounded LPs with fractional data: visible rows (EQ ones too) in
     # constraints, further GE/LE rows only behind the oracle. The warm
     # re-solve must end where a cold solve of every row ends.
-    pivots = _pivot_counter(monkeypatch)
     rng = random.Random(43)
 
     def frac():
@@ -485,31 +470,31 @@ def test_separated_rows_are_validated():
 
 def test_dual_degenerate_ties_terminate(monkeypatch):
     # A zero objective leaves every reduced cost at 0, so every dual ratio
-    # ties and Bland's rule alone picks the entering column: the smallest
-    # one with a negative entry. The oracle returns one hidden row at a
-    # time; every dual step follows Bland's rule, and every solve ends
-    # within a pivot budget and agrees with the cold solve of all rows.
+    # ties and Bland's rule alone picks the entering variable: the one of
+    # smallest label with a negative entry. The oracle returns one hidden
+    # row at a time; every dual step follows Bland's rule, and every solve
+    # ends within a pivot budget and agrees with the cold solve of all rows.
     pivots, tied = [], []
-    pivot = simplex._pivot_full
+    pivot = simplex._pivot
 
-    def checked(tableau, zrow, basis, r, col):
+    def checked(tableau, z, basis, cols, r, col):
         row = tableau[r]
-        if row[-1] < 0:
+        if row[-2] < 0:
             # A dual step: r is the negative-rhs row with the smallest
-            # basic column, col the smallest column of least z_j / -a_j.
+            # basic label, col the smallest label of least z_j / -a_j.
             assert basis[r] == min(basis[i] for i, other in enumerate(tableau)
-                                   if other[-1] < 0)
-            ratios = {j: Fraction(zrow[j], -a)
-                      for j, a in enumerate(row[:-1]) if a < 0}
+                                   if other[-2] < 0)
+            ratios = {cols[j]: Fraction(z[j], -a)
+                      for j, a in enumerate(row[:-2]) if a < 0}
             least = min(ratios.values())
-            ties = [j for j, v in ratios.items() if v == least]
-            assert col == ties[0]
+            ties = sorted(k for k, v in ratios.items() if v == least)
+            assert cols[col] == ties[0]
             tied.append(len(ties) > 1)
-        pivots.append(col)
+        pivots.append(cols[col])
         assert len(pivots) < 2000
-        return pivot(tableau, zrow, basis, r, col)
+        return pivot(tableau, z, basis, cols, r, col)
 
-    monkeypatch.setattr(simplex, "_pivot_full", checked)
+    monkeypatch.setattr(simplex, "_pivot", checked)
     rng = random.Random(47)
     for trial in range(40):
         n = rng.choice((3, 4, 5))
