@@ -128,8 +128,8 @@ def _append(tableau, basis, cols, rows, shifts):
         if shift:
             b -= sum(shift)
         m = lcm(b.denominator, *[a.denominator for a in coeffs.values()])
-        if rel == GE:
-            m = -m
+        if rel not in (LE, EQ):
+            m = -m  # a GE row
         row = _express(coeffs, m, b.numerator * (m // b.denominator), abs(m),
                        row_of, col_of)
         slacks.append(first + len(new))
@@ -173,10 +173,10 @@ def _recover(tableau, basis, lows, scale):
     """The tableau's basic solution as (x, d), the variables as ints x over
     one positive common denominator d: lows / scale are the lower bounds,
     a basic variable's y is its row's rhs / factor, and x = lo + y."""
-    n = len(lows)
-    basic = [(b, row) for b, row in zip(basis, tableau) if b < n and row[-2]]
+    basic = [(b, row) for b, row in zip(basis, tableau)
+             if b < len(lows) and row[-2]]
     d = lcm(scale, *[row[-1] for _, row in basic])
-    x = [lo * (d // scale) for lo in lows] if any(lows) else [0] * n
+    x = [lo * (d // scale) for lo in lows]
     for b, row in basic:
         x[b] += row[-2] * (d // row[-1])
     return x, d
@@ -275,10 +275,10 @@ def _dual(tableau, basis, cols, z):
 def _pivot(tableau, z, basis, cols, r, col):
     """Pivot on (r, col): the entering and leaving variables swap labels,
     so row r's entry at col and its factor swap places (the row negated if
-    the new factor is negative), and every other row and z with a nonzero
-    f at col becomes p row - f row r, with 0 at col (the leaving variable
-    is not basic elsewhere) and row r's factor slot read as 0 (it is not
-    the row's own basic variable)."""
+    the new factor p is negative), and every other row and z with an entry
+    f != 0 at col becomes p row - f row_r. That row's entry at col is read
+    as 0, since the leaving variable appears in row r alone, and row r's
+    factor slot as 0, since row r's basic variable is not that row's."""
     prow = tableau[r]
     prow[col], prow[-1] = prow[-1], prow[col]
     if prow[-1] < 0:

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -387,6 +388,37 @@ def test_separated_rows_match_the_full_lp(pivots):
     assert kinds[OPTIMAL] >= 50 and kinds[INFEASIBLE] >= 10
     assert rounds >= 100
     assert len(pivots) == 702  # warm and cold solves together
+
+
+def test_rows_keep_the_width_of_the_variables(monkeypatch):
+    # Before each pivot every row, and z, holds one entry per nonbasic
+    # variable, the rhs and the factor slot, however many rows the oracle
+    # has added; every label is basic or nonbasic, never both, and every
+    # row is primitive with a positive factor (z's is 0).
+    widths = []
+    pivot = simplex._pivot
+
+    def checked(tableau, z, basis, cols, r, col):
+        n = len(cols)
+        assert sorted(basis + cols) == list(range(n + len(tableau)))
+        assert all(len(row) == n + 2 and row[-1] > 0 and gcd(*row) == 1
+                   for row in tableau)
+        assert len(z) == n + 2 and z[-1] == 0
+        widths.append((n, len(tableau)))
+        return pivot(tableau, z, basis, cols, r, col)
+
+    monkeypatch.setattr(simplex, "_pivot", checked)
+    rng = random.Random(53)
+    for _ in range(20):
+        n = rng.choice((2, 3, 4))
+        hidden = [([rng.randint(-3, 3) for _ in range(n)], rng.choice((GE, LE)),
+                   rng.randint(-2, 3)) for _ in range(rng.randint(3, 8))]
+        lp_solve(LinearProgram([rng.randint(-2, 2) for _ in range(n)],
+                               _sparse([([1] * n, EQ, 2)]), [(0, 2)] * n,
+                               separate=_hidden_row_oracle(hidden, True)))
+    # Pivots after the oracle's first row: more rows than the 2 + n the
+    # LP starts with.
+    assert sum(rows > n + 2 for n, rows in widths) >= 40
 
 
 def test_separated_row_can_make_the_lp_infeasible():
