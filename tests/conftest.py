@@ -6,8 +6,7 @@ The terminal-summary hook prints one PASS/FAIL line per acceptance criterion.
 
 import pytest
 
-from pgcone import build_plane, incidence_matrix, min_weight_codewords
-from pgcone import simplex
+from pgcone import build_plane, incidence_matrix, min_weight_codewords, simplex
 from pgcone.plane import ParityCheck
 from pgcone.rays import enumerate_rays, support_guided_rays
 

@@ -318,8 +318,7 @@ def test_sweep_sampled_mode(H2):
 
 @pytest.mark.parametrize("e, samples", [(-1, None), (8, 3), (8, None)])
 def test_sweep_rejects_a_weight_outside_zero_to_n(H2, e, samples):
-    # -1 reached math.comb, 8 with samples reached random.sample, and 8
-    # without them swept no pattern ("8,0,0,0,0").
+    # A weight below 0 and one above n = 7, exhaustive and sampled.
     with pytest.raises(ValueError, match=f"e = {e} is outside 0..n = 0..7"):
         bsc_sweep(H2, e, samples=samples, seed=1)
 
