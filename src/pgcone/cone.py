@@ -27,14 +27,23 @@ def _rational(x):
         raise ValueError(f"not a rational: {x!r}") from None
 
 
+_EXACT = frozenset((int, Fraction))
+
+
+def _exact(v):
+    """v itself if its type is exactly int or Fraction (so not a bool or a
+    subclass), else Fraction(v), whose errors propagate."""
+    return v if type(v) in _EXACT else Fraction(v)
+
+
 def _ints(omega):
     """The package's one reading of a vector: (x, m), the ints x = m omega
     with m > 0 the lcm of the entries' denominators. An all-int tuple or
     list is returned as it is, with m = 1; any other vector (a
     PseudoCodeword's entries, or an iterable, read once) has each entry
     read once, as the numerator and denominator of its
-    ``as_integer_ratio()``: an int or Fraction entry as it is, every other
-    entry through Fraction, whose errors propagate.
+    ``as_integer_ratio()``: an int or Fraction entry (exact type) as it
+    is, every other entry through Fraction, whose errors propagate.
 
     The scale is positive, so every sign and every zero of a dot product
     with an integer row is unchanged."""
@@ -43,8 +52,8 @@ def _ints(omega):
     elif isinstance(omega, (tuple, list)) and all(type(v) is int for v in omega):
         return omega, 1
     else:
-        pairs = [(v if isinstance(v, (int, Fraction)) else Fraction(v))
-                 .as_integer_ratio() for v in omega]
+        pairs = [(v if type(v) in _EXACT else Fraction(v)).as_integer_ratio()
+                 for v in omega]
     m = lcm(*[d for _, d in pairs])
     return [p * (m // d) for p, d in pairs], m
 
@@ -168,8 +177,13 @@ class TypeVector:
     """Map from positive component value to multiplicity; t_0 is implicit."""
 
     def __init__(self, counts, n):
-        self.counts = {Fraction(k): int(v) for k, v in counts.items()
-                       if v and Fraction(k) != 0}
+        self.counts = {}
+        for k, v in counts.items():
+            if v:
+                if type(k) is not Fraction:
+                    k = Fraction(k)
+                if k:
+                    self.counts[k] = int(v)
         if any(k < 0 or v < 0 for k, v in self.counts.items()):
             raise ValueError("type values and multiplicities must be "
                              "nonnegative")

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .cone import _dot, _eliminate, _ints, _primitive
+from .cone import _dot, _eliminate, _exact, _ints, _primitive
 
 GE = ">="
 LE = "<="
@@ -81,16 +81,17 @@ class LinearProgram:
     separate: object = None
 
     def __post_init__(self):
-        self.objective = [Fraction(c) for c in self.objective]
+        # Each number is coerced once, an int or Fraction kept as it is.
+        self.objective = [_exact(c) for c in self.objective]
         self.constraints = [
-            ({k: Fraction(a) for k, a in row.items()}, rel, Fraction(b))
+            ({k: _exact(a) for k, a in row.items()}, rel, _exact(b))
             for row, rel, b in self.constraints
         ]
         n = len(self.objective)
         bounds = [(0, None)] * n if self.bounds is None else self.bounds
         if any(lo is None for lo, _ in bounds):
             raise ValueError("every variable needs a finite lower bound")
-        self.bounds = [(Fraction(lo), None if hi is None else Fraction(hi))
+        self.bounds = [(_exact(lo), None if hi is None else _exact(hi))
                        for lo, hi in bounds]
         for row, _, _ in self.constraints:
             if not all(0 <= k < n for k in row):

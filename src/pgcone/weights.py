@@ -1,10 +1,12 @@
 """Channel pseudo-weights (AWGNC, BSC, BEC) and the exact-rational AWGNC
-lower bounds, each one Lemma 2 on a vector or on the vector of a type."""
+lower bounds, each one Lemma 2 formula on the integer norms of a vector,
+of a type or of a one-entry vector."""
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
-from .cone import TypeVector, _dot, _ints
+from .cone import TypeVector, _dot, _exact, _ints
 from .errors import BadM, ZeroEta, ZeroVector
 
 
@@ -22,6 +24,19 @@ def _norms(omega):
     """(s1, s2, m) with s1 = m ||omega||_1 and s2 = m^2 ||omega||_2^2."""
     x, m = _scaled(omega)
     return sum(x), _dot(x, x), m
+
+
+def _type_norms(t: TypeVector):
+    """The norms (s1, s2, m) of the type's vector, read off its counts: m
+    is the lcm of the values' denominators, u_k = k m, s1 = sum u_k t_k
+    and s2 = sum u_k^2 t_k."""
+    m = lcm(*[k.denominator for k in t.counts])
+    s1 = s2 = 0
+    for k, c in t.counts.items():
+        u = k.numerator * (m // k.denominator)
+        s1 += u * c
+        s2 += u * u * c
+    return s1, s2, m
 
 
 def awgnc_pw(omega) -> Fraction:
@@ -60,16 +75,11 @@ def _channel(kind):
     return calc
 
 
-def _entries(t: TypeVector):
-    """The type's one reading as a vector: each nonzero value k, t_k times.
-    Zeros change no pseudo-weight or norm, so they are left out."""
-    return [k for k, v in t.counts.items() for _ in range(v)]
-
-
 def pw_from_type(t: TypeVector, kind: str):
     """Pseudo-weight from a type vector alone: that of a vector with t_k
-    entries equal to k; kind in {AWGNC, BSC, BEC}."""
-    return _channel(kind)(_entries(t))
+    entries equal to each nonzero value k (zeros change no pseudo-weight);
+    kind in {AWGNC, BSC, BEC}."""
+    return _channel(kind)([k for k, v in t.counts.items() for _ in range(v)])
 
 
 @dataclass
@@ -87,43 +97,54 @@ def bound_lemma1(t: TypeVector) -> BoundReport:
     if any(k not in (1, 2) for k in t.counts):
         return BoundReport("Lemma1", Fraction(0), applicable=False,
                            reason="type has components outside {0, 1, 2}")
-    value = max(_lemma2(_entries(t), eta)[0] for eta in (Fraction(4, 3), 2))
+    norms = _type_norms(t)
+    value = max(_lemma2(*norms, eta) for eta in (Fraction(4, 3), 2))
     return BoundReport("Lemma1", value,
                        parameters={"t1": t.get(1), "t2": t.get(2)})
 
 
-def _lemma2(omega, eta):
-    """(value, Fraction(eta), equality) of the one AWGNC lower bound
-    formula. With eta = a/b (b > 0) and the norms of x = m omega, the value
-    b (2 a m s1 - b s2) / (a m)^2 is tight when a m s1 = b s2."""
-    eta = Fraction(eta)
+def _eta(eta):
+    """eta coerced once (``cone._exact``: an int or Fraction as it is);
+    ZeroEta for zero."""
+    eta = _exact(eta)
     if eta == 0:
         raise ZeroEta("eta must be nonzero")
-    s1, s2, m = _norms(omega)
+    return eta
+
+
+def _lemma2(s1, s2, m, eta):
+    """The one AWGNC lower bound formula, on the norms (s1, s2, m) of
+    x = m omega: with eta = a/b (b > 0), b (2 a m s1 - b s2) / (a m)^2,
+    tight when a m s1 = b s2."""
     a, b = eta.numerator, eta.denominator
-    value = Fraction(b * (2 * a * m * s1 - b * s2), (a * m) ** 2)
-    return value, eta, s1 == 0 or a * m * s1 == b * s2
+    return Fraction(b * (2 * a * m * s1 - b * s2), (a * m) ** 2)
 
 
 def bound_lemma2(omega, eta) -> BoundReport:
     """(2 eta ||omega||_1 - ||omega||_2^2) / eta^2, tight at
     eta = ||omega||_2^2 / ||omega||_1."""
-    value, eta, equality = _lemma2(omega, eta)
-    return BoundReport("Lemma2", value, parameters={"eta": eta},
-                       equality=equality)
+    eta = _eta(eta)
+    s1, s2, m = _norms(omega)
+    equality = s1 == 0 or eta.numerator * m * s1 == eta.denominator * s2
+    return BoundReport("Lemma2", _lemma2(s1, s2, m, eta),
+                       parameters={"eta": eta}, equality=equality)
 
 
 def bound_cor3(t: TypeVector, eta) -> BoundReport:
     """Lemma 2 on the type's vector: the sum of beta_l t_l, where
-    beta_l = l(2 eta - l)/eta^2 is Lemma 2 on the one-entry vector (l)."""
-    value, eta, _ = _lemma2(_entries(t), eta)
-    betas = {k: _lemma2([k], eta)[0] for k in t.counts}
-    return BoundReport("Cor3", value, parameters={"eta": eta, "beta": betas})
+    beta_l = l(2 eta - l)/eta^2 is Lemma 2 on the one-entry vector (l),
+    whose norms are (u, u^2, m) for l = u/m in lowest terms."""
+    eta = _eta(eta)
+    betas = {k: _lemma2(k.numerator, k.numerator ** 2, k.denominator, eta)
+             for k in t.counts}
+    return BoundReport("Cor3", _lemma2(*_type_norms(t), eta),
+                       parameters={"eta": eta, "beta": betas})
 
 
 def beta_coefficient(value, eta) -> Fraction:
     """Lemma 2 on the one-entry vector (value): value(2 eta - value)/eta^2."""
-    return _lemma2([value], eta)[0]
+    eta = _eta(eta)
+    return _lemma2(*_norms([value]), eta)
 
 
 def bound_cor4(omega) -> BoundReport:

@@ -1,11 +1,14 @@
 """Fundamental-cone constraints, membership, minimality, types, supports."""
 
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from pgcone.cone import (PseudoCodeword, TypeVector, active_rank,
+from pgcone.cone import (PseudoCodeword, TypeVector, _ints, active_rank,
                          cone_constraints, integer_rank, is_member,
                          is_minimal, is_stopping_set, max_stopping_subset,
                          mod2_reduce, support, type_of)
@@ -277,6 +280,59 @@ def test_integer_rank_against_fraction_elimination():
                     mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
             rank += 1
         assert integer_rank(_row_maps(rows)) == rank
+
+
+class _Sub(Fraction):
+    """A Fraction subclass: not an exact Fraction, so read through Fraction."""
+
+
+def _ints_via_fraction(vec):
+    fracs = [Fraction(v) for v in vec]
+    m = lcm(*[f.denominator for f in fracs])
+    return [f.numerator * (m // f.denominator) for f in fracs], m
+
+
+def test_ints_reads_every_entry_as_fraction_does():
+    # Seeded mixes of ints, Fractions and entries of other types, given as
+    # a list, a tuple or a one-shot iterator.
+    rng = random.Random(25)
+    pool = (0, 3, 7, Fraction(2, 9), Fraction(5, 4), True, False, 0.5, 0.1,
+            Decimal("0.25"), Decimal("1.1"), "3/7", " 2 ", _Sub(5, 6))
+    for _ in range(300):
+        vec = [rng.choice(pool) for _ in range(rng.randint(0, 8))]
+        want = _ints_via_fraction(vec)
+        for form in (list, tuple, iter):
+            x, m = _ints(form(vec))
+            assert (list(x), m) == want, vec
+            assert all(type(v) is int for v in x), vec
+
+
+@pytest.mark.parametrize("bad", ["abc", None, float("inf"), float("nan"),
+                                 "1/0", Decimal("inf")])
+def test_ints_raises_what_fraction_raises(bad):
+    with pytest.raises(Exception) as want:
+        Fraction(bad)
+    with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+        _ints([1, Fraction(1, 2), bad])
+
+
+def test_type_vector_keys_read_as_fractions():
+    # Dyadic values, so every float key is exact; each key given as an
+    # int (when whole), a string, a float or a Fraction.
+    rng = random.Random(26)
+    values = [Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(2),
+              Fraction(5, 8), Fraction(7, 2)]
+    forms = (str, float, lambda k: k,
+             lambda k: int(k) if k.denominator == 1 else k)
+    for _ in range(100):
+        counts = {k: rng.randint(0, 3) for k in rng.sample(values, 4)}
+        ref = TypeVector(counts, 20)
+        given = {rng.choice(forms)(k): v for k, v in counts.items()}
+        t = TypeVector(given, 20)
+        assert t.counts == ref.counts and repr(t) == repr(ref), given
+        assert all(type(k) is Fraction for k in t.counts)
+    key = Fraction(2, 3)
+    assert next(iter(TypeVector({key: 1, 0: 2, "abc": 0}, 5).counts)) is key
 
 
 def test_type_vector_validation():

@@ -249,6 +249,45 @@ def test_cor3_matches_lemma2():
             assert beta_coefficient(l, eta) == bound_lemma2([l], eta).value
 
 
+def test_cor3_lemma1_and_pw_from_type_on_fractional_types():
+    # Seeded vectors whose values have mixed denominators, and vectors on
+    # {0, 1, 2} given in other forms; the type's norms must give what the
+    # vector's give, beta by beta.
+    rng = random.Random(27)
+    dens = (1, 2, 3, 4, 6, 7)
+    seen = {"m > 1": 0, "Lemma1": 0}
+    for k in range(120):
+        n = rng.randint(1, 12)
+        if k % 3:
+            vec = [Fraction(rng.randint(0, 9), rng.choice(dens))
+                   for _ in range(n)]
+        else:
+            vec = [rng.choice((0, 1, 2, "1", 2.0, Fraction(2)))
+                   for _ in range(n)]
+        t = type_of(vec)
+        seen["m > 1"] += any(v.denominator > 1 for v in t.counts)
+        assert pw_from_type(t, "AWGNC") == awgnc_pw(vec)
+        etas = (Fraction(4, 3), 2, Fraction(-1, 2), "3/2",
+                Fraction(rng.randint(1, 9), rng.randint(1, 5)))
+        for eta in etas:
+            rep = bound_cor3(t, eta)
+            assert type(rep.value) is Fraction
+            assert rep.value == bound_lemma2(vec, eta).value, (vec, eta)
+            assert set(rep.parameters["beta"]) == set(t.counts)
+            for l, beta in rep.parameters["beta"].items():
+                assert type(beta) is Fraction
+                assert beta == beta_coefficient(l, eta) == \
+                    bound_lemma2([l], eta).value, (l, eta)
+        lemma1 = bound_lemma1(t)
+        if set(t.counts) <= {1, 2}:
+            seen["Lemma1"] += 1
+            assert lemma1.applicable and lemma1.value == max(
+                bound_cor3(t, Fraction(4, 3)).value, bound_cor3(t, 2).value)
+        else:
+            assert not lemma1.applicable
+    assert min(seen.values()) >= 30, seen
+
+
 def test_cor4():
     rep = bound_cor4([1, 1, 0, 1])
     assert rep.value == 3
