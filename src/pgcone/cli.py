@@ -2,8 +2,9 @@
 effectiveness/construction subcommands with JSON, alist and CSV artifacts.
 
 Exit codes: 0 success, 1 domain error, 2 usage error (argparse default).
-Rationals are serialized as "p/q" strings; decimals appear only in the
-human-readable summary lines (4 significant digits).
+Vector files (PseudoCodeword.to_json) write rationals as "p/q" strings; the
+construct and effect JSON write str(Fraction), "2" or "-2/3". Decimals
+appear only in the human-readable summary lines (4 significant digits).
 """
 
 import argparse

@@ -108,8 +108,8 @@ def _nullspace_from_echelon(echelon, k):
 
 
 class PseudoCodeword:
-    """A nonnegative exact-rational vector, identified up to positive scaling
-    through its canonical primitive-integer form."""
+    """A nonnegative exact-rational vector. Equality and hashing are on the
+    entries; `canonical`, its primitive-integer form, identifies the ray."""
 
     def __init__(self, entries):
         if isinstance(entries, PseudoCodeword):
@@ -351,10 +351,9 @@ def active_rank(H: ParityCheck, omega) -> int:
 
 
 def is_minimal(H: ParityCheck, omega) -> bool:
-    """Extreme ray of the cone: a nonzero member with tight rank n - 1."""
-    ints, _ = _ints(omega)
+    """Extreme ray of the cone: a member with tight rank n - 1 (zero has n)."""
     try:
-        return any(ints) and active_rank(H, ints) == H.n_cols - 1
+        return active_rank(H, omega) == H.n_cols - 1
     except NotInCone:
         return False
 

@@ -5,14 +5,14 @@ two-zero-line alpha-threshold procedure on PG(2, 4)."""
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, count, tee
 from math import inf
 
 from .cone import (PseudoCodeword, _ints, _mask, active_rank, is_member,
                    is_minimal, type_of)
 from .errors import (DimensionTooLarge, NoSuchPair, NotInCone, NoZeroLinePair,
                      SearchExhausted)
-from .plane import (Plane, arc_check, find_hyperovals, incidence_matrix,
+from .plane import (Plane, _hyperovals, arc_check, incidence_matrix,
                     mask_to_vector, min_weight_codewords)
 from .weights import _channel, awgnc_pw, conjectured_wp
 
@@ -49,20 +49,10 @@ def _weights_of(omega):
     return {kind: _channel(kind)(omega) for kind in ("AWGNC", "BSC", "BEC")}
 
 
-def _codeword_pool(p: Plane):
-    """Minimum-weight codewords: exhaustive while the code dimension allows
-    it, hyperoval backtracking otherwise (minimum-weight supports are
-    hyperovals)."""
-    try:
-        return min_weight_codewords(incidence_matrix(p), p.q + 2)
-    except DimensionTooLarge:
-        return [mask_to_vector(sum(1 << i for i in pts), p.n)
-                for pts in find_hyperovals(p, limit=4000)]
-
-
 def overlapping_pair(p: Plane, overlap=None):
     """First (lexicographic) pair of weight-(q+2) codewords whose supports
-    overlap in `overlap` positions (default (q+2)/2)."""
+    overlap in `overlap` positions (default (q+2)/2). NoSuchPair comes only
+    after every pair is read: at q = 8, the C(32704, 2) hyperoval pairs."""
     if overlap is None:
         overlap = (p.q + 2) // 2
     for pair in _overlapping_pairs(p, overlap):
@@ -72,12 +62,19 @@ def overlapping_pair(p: Plane, overlap=None):
 
 
 def _overlapping_pairs(p: Plane, overlap):
-    words = _codeword_pool(p)
-    sups = [frozenset(i for i, x in enumerate(w) if x) for w in words]
-    for a in range(len(words)):
-        for b in range(a + 1, len(words)):
-            if len(sups[a] & sups[b]) == overlap:
-                yield words[a], words[b]
+    """Codeword pairs (a, b), a before b, in lexicographic order, whose
+    supports share `overlap` points: from the exhaustive list while the code
+    dimension allows it, else from the hyperoval search, read on demand."""
+    try:
+        rest = (sum(x << i for i, x in enumerate(w)) for w in
+                min_weight_codewords(incidence_matrix(p), p.q + 2))
+    except DimensionTooLarge:
+        rest = (sum(1 << i for i in pts) for pts in _hyperovals(p))
+    while (ma := next(rest, None)) is not None:
+        rest, later = tee(rest)
+        for mb in later:
+            if (ma & mb).bit_count() == overlap:
+                yield mask_to_vector(ma, p.n), mask_to_vector(mb, p.n)
 
 
 def max_alpha(H, base, positions):

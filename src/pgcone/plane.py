@@ -3,6 +3,7 @@ matrix, GF(2) linear algebra, minimum-weight codewords and arc detection."""
 
 import binascii
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import DimensionTooLarge, UnsupportedQ
 from .fields import field_new, trace
@@ -258,22 +259,18 @@ def arc_check(p: Plane, point_set) -> ArcReport:
     return ArcReport(pts, True, len(pts) == p.q + 2)
 
 
-def find_hyperovals(p: Plane, limit=1):
-    """Backtracking search for (q+2)-arcs; returns up to `limit` of them,
-    none for limit 0; a negative limit is a ValueError.
+def _hyperovals(p: Plane):
+    """Backtracking search yielding the (q+2)-arcs in lexicographic order.
 
     `blocked` is the point mask of the secants, the lines through two
     chosen points; a point off every secant extends the arc."""
-    if limit < 0:
-        raise ValueError(f"limit must be nonnegative, got {limit}")
     n = p.n
     target = p.q + 2
-    results = []
     line_masks, point_masks = _incidence_masks(p)
 
     def extend(current, start, blocked):
         if len(current) == target:
-            results.append(tuple(current))
+            yield tuple(current)
             return
         # Not enough candidate points left to finish the arc.
         stop = n - (target - len(current)) + 1
@@ -288,11 +285,14 @@ def find_hyperovals(p: Plane, limit=1):
                 common = point_masks[nxt] & point_masks[a]
                 grown |= line_masks[common.bit_length() - 1]
             current.append(nxt)
-            extend(current, nxt + 1, grown)
+            yield from extend(current, nxt + 1, grown)
             current.pop()
-            if len(results) >= limit:
-                return
 
-    if limit:
-        extend([], 0, 0)
-    return results
+    yield from extend([], 0, 0)
+
+
+def find_hyperovals(p: Plane, limit=1):
+    """The first `limit` >= 0 hyperovals in lexicographic order."""
+    if limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
+    return list(islice(_hyperovals(p), limit))

@@ -5,12 +5,14 @@ from math import inf
 
 import pytest
 
+from pgcone import construct
 from pgcone.cone import is_member, is_minimal, mod2_reduce, type_of
 from pgcone.construct import (conjectured_family_search, ex3_minimal_pcw,
                               ex5_procedure, max_alpha, overlapping_pair)
 from pgcone.errors import DimensionTooLarge, NoSuchPair, SearchExhausted
-from pgcone.plane import (arc_check, find_hyperovals, incidence_matrix,
-                          mask_to_vector, min_weight_codewords)
+from pgcone.plane import (_hyperovals, arc_check, find_hyperovals,
+                          incidence_matrix, mask_to_vector,
+                          min_weight_codewords)
 from pgcone.weights import bound_thm5, conjectured_wp, thm5_applicable
 
 
@@ -63,18 +65,36 @@ def test_ex3_q4(plane4):
 
 def test_ex3_q8_from_the_hyperoval_search(plane8):
     # The PG(2, 8) code is too large for the exhaustive codeword search, so
-    # the pool comes from find_hyperovals.
+    # the pool comes from the hyperoval search; Example 3 and the
+    # conjecture's search find the same minimal pseudo-codeword.
     H = incidence_matrix(plane8)
     with pytest.raises(DimensionTooLarge):
         min_weight_codewords(H, 10)
-    trace = ex3_minimal_pcw(plane8)
-    assert trace.final_type.counts == {1: 10, 2: 8}
-    assert trace.pseudo_weights["AWGNC"] == Fraction(338, 21) \
-        == conjectured_wp(8)
-    assert trace.ranks["final"] == 72 and is_minimal(H, trace.final)
-    assert list(trace.generators) == [
-        mask_to_vector(sum(1 << i for i in pts), plane8.n)
-        for pts in find_hyperovals(plane8, 2)]
+    first_two = [mask_to_vector(sum(1 << i for i in pts), plane8.n)
+                 for pts in find_hyperovals(plane8, 2)]
+    for trace in (ex3_minimal_pcw(plane8), conjectured_family_search(plane8)):
+        assert trace.final_type.counts == {1: 10, 2: 8}
+        assert trace.pseudo_weights["AWGNC"] == Fraction(338, 21) \
+            == conjectured_wp(8)
+        assert trace.ranks["final"] == 72 and is_minimal(H, trace.final)
+        assert list(trace.generators) == first_two
+
+
+def test_q8_constructions_read_two_hyperovals(plane8, monkeypatch):
+    # The pool is read on demand: the first pair already yields the
+    # construction, so no search goes past the second hyperoval.
+    drawn = []
+
+    def counted(p):
+        for pts in _hyperovals(p):
+            drawn.append(pts)
+            yield pts
+
+    monkeypatch.setattr(construct, "_hyperovals", counted)
+    for search in (ex3_minimal_pcw, conjectured_family_search):
+        drawn.clear()
+        search(plane8)
+        assert drawn == find_hyperovals(plane8, 2)
 
 
 def test_ex3_q4_switches_share_a_line(plane4):
