@@ -27,6 +27,14 @@ def _rational(x):
         raise ValueError(f"not a rational: {x!r}") from None
 
 
+def _positive(x, name):
+    """Fraction(x), whose errors propagate; ValueError unless positive."""
+    x = Fraction(x)
+    if x <= 0:
+        raise ValueError(f"{name} must be positive")
+    return x
+
+
 _EXACT = frozenset((int, Fraction))
 
 
@@ -114,12 +122,7 @@ class PseudoCodeword:
     def __init__(self, entries):
         if isinstance(entries, PseudoCodeword):
             entries = entries.entries
-        try:
-            entries = tuple(map(Fraction, entries))
-        except (TypeError, ZeroDivisionError, OverflowError):
-            for x in entries:  # a sequence: _rational names the bad entry
-                _rational(x)
-            raise ValueError("entries must be rationals") from None
+        entries = tuple(map(_rational, entries))
         if any(x < 0 for x in entries):
             raise ValueError("pseudo-codeword entries must be nonnegative")
         self.entries = entries
@@ -134,9 +137,7 @@ class PseudoCodeword:
         return _primitive(_ints(self)[0])
 
     def scaled(self, c):
-        c = Fraction(c)
-        if c <= 0:
-            raise ValueError("scaling constant must be positive")
+        c = _positive(c, "scaling constant")
         return PseudoCodeword(x * c for x in self.entries)
 
     def __eq__(self, other):
@@ -174,16 +175,20 @@ class PseudoCodeword:
 
 
 class TypeVector:
-    """Map from positive component value to multiplicity; t_0 is implicit."""
+    """Map from positive value to whole multiplicity; t_0 is implicit."""
 
     def __init__(self, counts, n):
         self.counts = {}
         for k, v in counts.items():
             if v:
+                if type(v) is not int:
+                    if (f := Fraction(v)).denominator != 1:
+                        raise ValueError(f"multiplicity {v} is not an integer")
+                    v = f.numerator
                 if type(k) is not Fraction:
                     k = Fraction(k)
                 if k:
-                    self.counts[k] = int(v)
+                    self.counts[k] = v
         if any(k < 0 or v < 0 for k, v in self.counts.items()):
             raise ValueError("type values and multiplicities must be "
                              "nonnegative")
@@ -206,9 +211,7 @@ class TypeVector:
         return sorted(self.counts)
 
     def scaled(self, c):
-        c = Fraction(c)
-        if c <= 0:
-            raise ValueError("scaling constant must be positive")
+        c = _positive(c, "scaling constant")
         return TypeVector({k * c: v for k, v in self.counts.items()}, self.n)
 
     def __eq__(self, other):

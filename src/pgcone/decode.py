@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .cone import (PseudoCodeword, _check_length, _mask, _row,
+from .cone import (PseudoCodeword, _check_length, _mask, _positive, _row,
                    max_stopping_subset)
 from .errors import EmptyFlips, LpNotOptimal, TooManyPatterns
 from .plane import ParityCheck
@@ -54,9 +54,7 @@ class SweepStats:
 
 def llr_from_flips(n, flips, L) -> LLRVector:
     """-L on flipped positions, +L elsewhere (zero codeword sent)."""
-    L = Fraction(L)
-    if L <= 0:
-        raise ValueError("L must be positive")
+    L = _positive(L, "L")
     flips = _mask(n, flips)
     return LLRVector(tuple(-L if flips >> i & 1 else L for i in range(n)), "BSC")
 

@@ -3,10 +3,9 @@ admissible LLR vector make a given ray beat (or tie) every other ray?"""
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
-from .cone import PseudoCodeword, _check_length, _dot
+from .cone import PseudoCodeword, _check_length, _dot, _positive
 from .errors import IncompleteRaySet, LpNotOptimal
 from .rays import RaySet
 from .simplex import GE, OPTIMAL, LinearProgram, lp_solve
@@ -37,18 +36,23 @@ class EffectivenessReport:
         })
 
 
+def _target_and_others(rayset: RaySet, omega, channel):
+    """Both classifiers' prelude: IncompleteRaySet naming the channel, else
+    omega's primitive form (of the ray set's length) and every other ray's."""
+    if not rayset.complete:
+        raise IncompleteRaySet(
+            f"{channel} classification needs the full ray set")
+    target = PseudoCodeword(omega).canonical
+    _check_length(len(target), rayset.n)
+    return target, [c for c in rayset.canonicals() if c != target]
+
+
 def bsc_effectiveness(rayset: RaySet, omega, L=1) -> EffectivenessReport:
     """Exhaustive scan over lambda in {+-L}^n, on the signs in {+-1}^n: the
     classification depends only on signs, so L scales only the witness."""
-    if not rayset.complete:
-        raise IncompleteRaySet("BSC classification needs the full ray set")
-    L = Fraction(L)
-    if L <= 0:
-        raise ValueError("L must be positive")
-    target = PseudoCodeword(omega).canonical
+    target, others = _target_and_others(rayset, omega, "BSC")
+    L = _positive(L, "L")
     n = len(target)
-    _check_length(n, rayset.n)
-    others = [r.canonical for r in rayset if r.canonical != target]
     if n > 25:
         raise ValueError("exhaustive scan is limited to n <= 25")
     best_kind = NOT_EFFECTIVE
@@ -79,12 +83,8 @@ def awgnc_first_kind(rayset: RaySet, omega) -> EffectivenessReport:
     -1 <= lambda <= 1. lambda = 0 satisfies every row and the box, so the
     optimum is never positive: first kind iff it is negative, second kind
     only iff it is zero."""
-    if not rayset.complete:
-        raise IncompleteRaySet("AWGNC classification needs the full ray set")
-    target = PseudoCodeword(omega).canonical
+    target, others = _target_and_others(rayset, omega, "AWGNC")
     n = len(target)
-    _check_length(n, rayset.n)
-    others = [r.canonical for r in rayset if r.canonical != target]
     rows = [({i: v for i, v in enumerate(o) if v}, GE, 0) for o in others]
     lp = LinearProgram(objective=list(target), constraints=rows,
                        bounds=[(-1, 1)] * n)

@@ -3,7 +3,7 @@ matrix, GF(2) linear algebra, minimum-weight codewords and arc detection."""
 
 import binascii
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import combinations, islice
 
 from .errors import DimensionTooLarge, UnsupportedQ
 from .fields import field_new, trace
@@ -40,6 +40,9 @@ class ParityCheck:
         self.rows = tuple(tuple(sorted(r)) for r in rows)
         cols = [[] for _ in range(n_cols)]
         for j, r in enumerate(self.rows):
+            if len(set(r)) < len(r) or r and not 0 <= r[0] <= r[-1] < n_cols:
+                raise ValueError(f"row {j} lists columns {list(r)}; they must "
+                                 f"be distinct and in 0..{n_cols - 1}")
             for i in r:
                 cols[i].append(j)
         self.cols = tuple(tuple(c) for c in cols)
@@ -171,18 +174,12 @@ def verify_axioms(p: Plane) -> AxiomReport:
             return AxiomReport(False, f"point {i} lies on {deg} lines")
     # The degrees add up to n(q + 1), every incidence of n lines of q + 1
     # points, so each line mask now holds its whole line.
-    for a in range(n):
-        for b in range(a + 1, n):
-            common = (point_masks[a] & point_masks[b]).bit_count()
+    for masks, failure in ((point_masks, "points {},{} share {} lines"),
+                           (line_masks, "lines {},{} meet in {} points")):
+        for a, b in combinations(range(n), 2):
+            common = (masks[a] & masks[b]).bit_count()
             if common != 1:
-                return AxiomReport(
-                    False, f"points {a},{b} share {common} lines")
-    for j1 in range(n):
-        for j2 in range(j1 + 1, n):
-            meet = (line_masks[j1] & line_masks[j2]).bit_count()
-            if meet != 1:
-                return AxiomReport(
-                    False, f"lines {j1},{j2} meet in {meet} points")
+                return AxiomReport(False, failure.format(a, b, common))
     return AxiomReport(True)
 
 

@@ -12,10 +12,11 @@ from math import inf
 
 from . import weights
 from .cone import (PseudoCodeword, _bits, _check_length, _eliminate, _ints,
-                   _nullspace_from_echelon, _primitive, cone_constraints,
-                   integer_rank, is_member, is_minimal, is_stopping_set)
+                   _nullspace_from_echelon, _positive, _primitive,
+                   cone_constraints, integer_rank, is_member, is_minimal,
+                   is_stopping_set)
 from .errors import LengthMismatch, MalformedRaySet
-from .plane import ParityCheck
+from .plane import ParityCheck, mask_to_vector
 
 
 @dataclass
@@ -142,7 +143,7 @@ def enumerate_rays(H: ParityCheck, budget: Budget = None, seed=None) -> RaySet:
     cs = list(cone_constraints(H).values())
     processed = cs[-n:] + [cs[k] for k in insertion_order(H, seed)]
     full = (1 << n) - 1
-    rays = {_unit(n, i): full ^ (1 << i) for i in range(n)}
+    rays = {mask_to_vector(1 << i, n): full ^ (1 << i) for i in range(n)}
     ids = {r: i for i, r in enumerate(rays)}
     holders = [full ^ (1 << k) for k in range(n)]
     alive = full
@@ -225,12 +226,6 @@ _BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1)
                    for b in range(256))
 
 
-def _unit(n, i):
-    v = [0] * n
-    v[i] = 1
-    return tuple(v)
-
-
 def support_guided_rays(H: ParityCheck) -> RaySet:
     """Independent exhaustive oracle: for every stopping-set support, find all
     strictly positive nullspace generators of (|S| - 1)-rank systems of
@@ -296,15 +291,11 @@ def _rank_deficient_solutions(rows, k):
     yield from rec(0, 0, [])
 
 
-def histogram(rs: RaySet, kind: str, bin_width=None):
+def histogram(rs: RaySet, kind: str, bin_width=1):
     """Counts of rays per half-open bin [b, b + w); returns a sorted list of
     (bin_low, bin_high, count)."""
     calc = weights._channel(kind)
-    if bin_width is None:
-        bin_width = Fraction(1)
-    bin_width = Fraction(bin_width)
-    if bin_width <= 0:
-        raise ValueError("bin width must be positive")
+    bin_width = _positive(bin_width, "bin width")
     bins = {}
     for r in rs:
         w = Fraction(calc(r))

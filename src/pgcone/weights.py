@@ -166,6 +166,18 @@ def _log2(q):
     return q.bit_length() - 1
 
 
+def _qm(q, m):
+    """m as an int after ``_log2(q)``; BadM unless m is a whole number >= 2."""
+    _log2(q)
+    if type(m) is not int:
+        if (f := Fraction(m)).denominator != 1:
+            raise BadM(f"m must be a whole number, got {m}")
+        m = f.numerator
+    if m < 2:
+        raise BadM("m must be at least 2")
+    return m
+
+
 def thm5_applicable(t: TypeVector, q) -> bool:
     """Only values {0,1,2}, t_1 >= q+2 and t_2 >= 1: the m = 2 case."""
     return generalized_applicable(t, q, 2)
@@ -183,9 +195,7 @@ def generalized_applicable(t: TypeVector, q, m) -> bool:
     what the bound's proof actually consumes; counting mass at other odd
     values would admit scaled codewords that violate the bound.
     """
-    _log2(q)
-    if m < 2:
-        raise BadM("m must be at least 2")
+    m = _qm(q, m)
     for k in t.counts:
         if k.denominator != 1 or not 1 <= k <= m:
             return False
@@ -195,9 +205,7 @@ def generalized_applicable(t: TypeVector, q, m) -> bool:
 
 
 def bound_generalized(q, m) -> Fraction:
-    _log2(q)
-    if m < 2:
-        raise BadM("m must be at least 2")
+    m = _qm(q, m)
     return Fraction(m * m * (q + 2), m * m - m + 1)
 
 

@@ -13,10 +13,12 @@ from pgcone.cone import (PseudoCodeword, TypeVector, _ints, active_rank,
                          is_minimal, is_stopping_set, max_stopping_subset,
                          mod2_reduce, support, type_of)
 from pgcone.construct import max_alpha
+from pgcone.decode import llr_from_flips
+from pgcone.effect import bsc_effectiveness
 from pgcone.errors import LengthMismatch, NonInteger, NotInCone, PgconeError
-from pgcone.rays import Budget, enumerate_rays
-from pgcone.weights import (awgnc_pw, bec_pw, bound_cor4, bound_lemma2,
-                            bsc_pw)
+from pgcone.rays import Budget, RaySet, enumerate_rays, histogram
+from pgcone.weights import (awgnc_pw, bec_pw, bound_cor4, bound_lemma1,
+                            bound_lemma2, bsc_pw)
 
 
 def test_constraint_counts(H2, H4, fixture_h):
@@ -136,12 +138,46 @@ def test_pcw_json_round_trip():
     (["1/0", 1], "not a rational: '1/0'"),
     ([1, None], "not a rational: None"),
     ([float("inf")], "not a rational: inf"),
-    ((x for x in ["1/0"]), "entries must be rationals"),
+    ((x for x in ["1/0"]), "not a rational: '1/0'"),
 ])
 def test_bad_rational_entries_are_value_errors(entries, message):
     with pytest.raises(ValueError) as exc:
         PseudoCodeword(entries)
     assert str(exc.value) == message
+
+
+# The rays of the single check on three columns, for the classifier site.
+_RAYS3 = RaySet(rays=((0, 1, 1), (1, 0, 1), (1, 1, 0)), h_matrix_id="x",
+                complete=True)
+
+# Each site of the one positive-rational guard: a call taking the value,
+# and the name its message gives.
+_POSITIVE_SITES = {
+    "PseudoCodeword.scaled":
+        (lambda c: PseudoCodeword([1, 0]).scaled(c), "scaling constant"),
+    "TypeVector.scaled":
+        (lambda c: TypeVector({1: 2}, 3).scaled(c), "scaling constant"),
+    "llr_from_flips": (lambda L: llr_from_flips(3, {0}, L), "L"),
+    "bsc_effectiveness":
+        (lambda L: bsc_effectiveness(_RAYS3, (0, 1, 1), L), "L"),
+    "histogram": (lambda w: histogram(_RAYS3, "AWGNC", w), "bin width"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_POSITIVE_SITES))
+def test_every_positive_site_raises_the_same_errors(site):
+    call, name = _POSITIVE_SITES[site]
+    for bad in (0, -1, Fraction(-1, 2)):
+        with pytest.raises(ValueError) as exc:
+            call(bad)
+        assert str(exc.value) == f"{name} must be positive"
+    # A non-rational raises what Fraction raises, with its message.
+    for bad, kind in (("abc", ValueError), (None, TypeError)):
+        with pytest.raises(kind) as want:
+            Fraction(bad)
+        with pytest.raises(kind) as exc:
+            call(bad)
+        assert str(exc.value) == str(want.value)
 
 
 def test_from_json_reads_decimals_exactly():
@@ -338,6 +374,30 @@ def test_type_vector_keys_read_as_fractions():
 def test_type_vector_validation():
     with pytest.raises(ValueError):
         TypeVector({1: 5, 2: 5}, 7)
+
+
+@pytest.mark.parametrize("counts, bad", [
+    ({1: Fraction(1, 2), 2: 2}, "1/2"),
+    ({1: 4, 2: 2.7}, "2.7"),
+    ({1: "3/2"}, "3/2"),
+])
+def test_type_vector_rejects_a_fractional_multiplicity(counts, bad):
+    # int() would truncate: t_1 = 0 from 1/2, t_2 = 2 from 2.7.
+    with pytest.raises(ValueError,
+                       match=f"^multiplicity {re.escape(bad)} is not an "
+                             "integer$"):
+        TypeVector(counts, 7)
+
+
+def test_type_vector_reads_whole_multiplicities():
+    big = 10 ** 30
+    t = TypeVector({1: 2.0, 2: Fraction(6, 2), 3: "1", 4: big}, big + 6)
+    assert t.counts == {1: 2, 2: 3, 3: 1, 4: big}
+    assert all(type(v) is int for v in t.counts.values())
+    assert t.counts[4] is big  # an int is kept as it is
+    report = bound_lemma1(TypeVector({1: 4.0, 2: Fraction(3)}, 7))
+    assert report.parameters == {"t1": 4, "t2": 3}
+    assert report.value == bound_lemma1(type_of([1, 1, 1, 1, 2, 2, 2])).value
 
 
 def test_type_vector_rejects_a_negative_multiplicity():

@@ -78,10 +78,16 @@ def test_incomplete_rayset_rejected(rays2):
     partial = RaySet(rays=tuple(rays2)[:3], h_matrix_id=rays2.h_matrix_id,
                      complete=False)
     r = tuple(rays2)[0]
+    for classify, channel in ((awgnc_first_kind, "AWGNC"),
+                              (bsc_effectiveness, "BSC")):
+        message = f"^{channel} classification needs the full ray set$"
+        with pytest.raises(IncompleteRaySet, match=message):
+            classify(partial, r)
+        # Checked before the vector (here of the wrong length) is read.
+        with pytest.raises(IncompleteRaySet, match=message):
+            classify(partial, (1, 1))
     with pytest.raises(IncompleteRaySet):
-        awgnc_first_kind(partial, r)
-    with pytest.raises(IncompleteRaySet):
-        bsc_effectiveness(partial, r)
+        bsc_effectiveness(partial, r, L=0)
 
 
 def test_single_ray_first_trivially():

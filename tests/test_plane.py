@@ -160,6 +160,30 @@ def test_alist_index_out_of_range(index):
         ParityCheck.from_alist(bad)
 
 
+@pytest.mark.parametrize("row", [[0, 0, 1], [0, 1, 5], [-1, 0], [3]])
+def test_parity_check_rows_name_distinct_columns_in_range(row):
+    # [0, 0, 1] was stored as mask 0b100 (column 2) and [0, 1, 5] raised
+    # IndexError.
+    message = (f"row 1 lists columns {sorted(row)}; they must be distinct "
+               "and in 0..2")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ParityCheck([[1, 2], row], 3)
+
+
+def test_alist_rejects_a_repeated_column():
+    # Row 2 (1-based) listed as "2 2": read as is, its mask would hold
+    # column 2 only and its column lists column 2 twice.
+    text = ParityCheck([[0, 1], [1, 2]], 3).to_alist()
+    assert text.endswith("\n2 3\n")
+    bad = text[:-4] + "2 2\n"
+    with pytest.raises(ValueError, match=re.escape(
+            "row 1 lists columns [1, 1]; they must be distinct and in 0..2")):
+        ParityCheck.from_alist(bad)
+    # An index outside 1..n is still named by the alist reader, first.
+    with pytest.raises(ValueError, match="alist index 4 outside 1..3"):
+        ParityCheck.from_alist(text[:-4] + "4 4\n")
+
+
 def test_alist_column_lists_must_match_rows():
     # Rows {1, 2} and {2, 3} (1-based), but the column lists put column 1
     # in row 2 and column 3 in row 1.

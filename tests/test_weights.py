@@ -325,6 +325,21 @@ def test_generalized():
     assert not generalized_applicable(TypeVector({1: 2, 3: 4}, 21), 4, 3)
 
 
+def test_generalized_m_is_a_whole_number():
+    # 5/2 is no m of the theorem (the bound read 150/19 for it), and 3.0
+    # is 3 (the bound raised TypeError for a float).
+    t = TypeVector({1: 6, 3: 1}, 21)
+    for call in (lambda m: bound_generalized(4, m),
+                 lambda m: generalized_applicable(t, 4, m)):
+        for m, text in ((Fraction(5, 2), "5/2"), (2.5, "2.5")):
+            with pytest.raises(BadM, match="^m must be a whole number, "
+                                           f"got {text}$"):
+                call(m)
+        assert call(3.0) == call(Fraction(6, 2)) == call(3)
+    with pytest.raises(BadM, match="^m must be at least 2$"):
+        generalized_applicable(t, 4, 1.0)
+
+
 def test_thm5_is_the_generalized_pair_at_m2():
     # Seeded types with values drawn from {1/2, 1, 2, 3}, so every clause
     # of the hypothesis (values in {1, 2}, t_1 >= q + 2, t_2 >= 1) is
