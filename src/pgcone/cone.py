@@ -12,15 +12,18 @@ nullspace generator, and integer rank."""
 import json
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import is_, mul
 
 from .errors import LengthMismatch, NonInteger, NotInCone
 from .plane import ParityCheck
 
 
 def _rational(x):
-    """Fraction(x), with a ValueError also for a zero denominator, an
-    infinite float or a value of another type."""
+    """x itself if its type is exactly Fraction, else Fraction(x), with a
+    ValueError also for a zero denominator, an infinite float or a value of
+    another type."""
+    if type(x) is Fraction:
+        return x
     try:
         return Fraction(x)
     except (TypeError, ZeroDivisionError, OverflowError):
@@ -44,26 +47,51 @@ def _exact(v):
     return v if type(v) in _EXACT else Fraction(v)
 
 
+# The last reading _ints stored: (vector, tuple of its entries, (x, m)),
+# read and replaced whole, so a thread always sees one consistent entry.
+_last = (None, (), ((), 1))
+
+
 def _ints(omega):
     """The package's one reading of a vector: (x, m), the ints x = m omega
-    with m > 0 the lcm of the entries' denominators. An all-int tuple or
-    list is returned as it is, with m = 1; any other vector (a
-    PseudoCodeword's entries, or an iterable, read once) has each entry
-    read once, as the numerator and denominator of its
-    ``as_integer_ratio()``: an int or Fraction entry (exact type) as it
-    is, every other entry through Fraction, whose errors propagate.
+    with m > 0 the lcm of the entries' denominators. Each entry is read as
+    the numerator and denominator of its ``as_integer_ratio()``: an int or
+    Fraction entry (exact type) as it is, every other entry through
+    Fraction, whose errors propagate. An all-int tuple or list is returned
+    as it is, with m = 1; any other iterable is read once.
+
+    The last reading of a list, tuple or PseudoCodeword whose entries are
+    all exact ints or Fractions is kept, with the vector and a tuple of its
+    entry objects: when that same vector comes back holding the same entry
+    objects, its stored (x, m) is returned unread. An in-place change, a
+    reassigned ``entries`` or an equal but different vector is read anew,
+    and nothing else (an iterator, a bool, float, Decimal or str entry, a
+    Fraction subclass) is ever stored. Callers must not write to x.
 
     The scale is positive, so every sign and every zero of a dot product
     with an integer row is unchanged."""
-    if isinstance(omega, PseudoCodeword):
-        pairs = [v.as_integer_ratio() for v in omega.entries]
-    elif isinstance(omega, (tuple, list)) and all(type(v) is int for v in omega):
-        return omega, 1
+    global _last
+    if type(omega) in (list, tuple):
+        held, entries = True, omega
+    elif isinstance(omega, PseudoCodeword):
+        held, entries = True, omega.entries
     else:
-        pairs = [(v if type(v) in _EXACT else Fraction(v)).as_integer_ratio()
-                 for v in omega]
-    m = lcm(*[d for _, d in pairs])
-    return [p * (m // d) for p, d in pairs], m
+        held, entries = False, list(omega)
+    vec, snap, stored = _last
+    if (held and omega is vec and len(entries) == len(snap)
+            and all(map(is_, entries, snap))):
+        return stored
+    types = set(map(type, entries))
+    if entries is omega and types <= {int}:
+        reading = omega, 1
+    else:
+        vals = entries if types <= _EXACT else map(_exact, entries)
+        pairs = [v.as_integer_ratio() for v in vals]
+        m = lcm(*[d for _, d in pairs])
+        reading = [p * (m // d) for p, d in pairs], m
+    if held and types <= _EXACT:
+        _last = omega, tuple(entries), reading
+    return reading
 
 
 def _primitive(vec):
@@ -201,7 +229,7 @@ class TypeVector:
         return self.n - sum(self.counts.values())
 
     def get(self, value):
-        value = Fraction(value)
+        value = _exact(value)
         if value == 0:
             return self.t0
         return self.counts.get(value, 0)

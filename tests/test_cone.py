@@ -8,6 +8,7 @@ from math import lcm
 
 import pytest
 
+from pgcone import cone
 from pgcone.cone import (PseudoCodeword, TypeVector, _ints, active_rank,
                          cone_constraints, integer_rank, is_member,
                          is_minimal, is_stopping_set, max_stopping_subset,
@@ -350,6 +351,201 @@ def test_ints_raises_what_fraction_raises(bad):
         Fraction(bad)
     with pytest.raises(type(want.value), match=re.escape(str(want.value))):
         _ints([1, Fraction(1, 2), bad])
+
+
+# What the memo tests compare: each public reader of a vector, applied to
+# it, as ("ok", result) or ("err", type, message).
+_READERS = {
+    "is_member": lambda H, v: is_member(H, v),
+    "active_rank": lambda H, v: active_rank(H, v),
+    "is_minimal": lambda H, v: is_minimal(H, v),
+    "type_of": lambda H, v: type_of(v),
+    "support": lambda H, v: support(v),
+    "mod2_reduce": lambda H, v: mod2_reduce(v),
+    "awgnc_pw": lambda H, v: awgnc_pw(v),
+    "bec_pw": lambda H, v: bec_pw(v),
+    "bsc_pw": lambda H, v: bsc_pw(v),
+    "bound_lemma2": lambda H, v: bound_lemma2(v, Fraction(4, 3)),
+    "bound_cor4": lambda H, v: bound_cor4(v),
+    "max_alpha": lambda H, v: max_alpha(H, v, [0]),
+    "canonical": lambda H, v: PseudoCodeword(v).canonical,
+}
+_MEMO_READERS = ("is_member", "type_of", "awgnc_pw", "bound_lemma2")
+
+
+def _result(call):
+    try:
+        return "ok", call()
+    except Exception as exc:
+        return "err", type(exc), str(exc)
+
+
+def _fresh(values):
+    """A new list of new Fraction objects: the values as _ints_via_fraction
+    reads them."""
+    x, m = _ints_via_fraction(values)
+    return [Fraction(v, m) for v in x]
+
+
+def _fresh_result(read, H, values):
+    """The reader's outcome on _fresh(values), with _ints' stored reading
+    left as it was, so the next read of a vector meets it."""
+    saved = cone._last
+    try:
+        return _result(lambda: read(H, _fresh(values)))
+    finally:
+        cone._last = saved
+
+
+def _assert_reads_fresh(H, make, values):
+    """_ints and each reader on make() (the vector, or a new iterator for
+    each call) give what they give on a fresh list of the values."""
+    for name in _MEMO_READERS:
+        read = _READERS[name]
+        assert (_result(lambda: read(H, make()))
+                == _fresh_result(read, H, values)), (name, values)
+    x, m = _ints(make())
+    assert (list(x), m) == _ints_via_fraction(values), values
+
+
+def test_ints_returns_its_stored_reading_for_the_same_vector(H2):
+    vec = [Fraction(1, 2), Fraction(1, 2), 1, 0, Fraction(3, 2), 0, 0]
+    x, m = _ints(vec)
+    assert cone._last[0] is vec
+    assert _ints(vec)[0] is x
+    for name in _MEMO_READERS:
+        _READERS[name](H2, vec)
+        assert _ints(vec)[0] is x, name
+    # An equal-valued but different list, with the same or new entry
+    # objects, is read anew.
+    for other in (list(vec), [Fraction(v) for v in vec]):
+        y, k = _ints(other)
+        assert y is not x and (y, k) == (x, m)
+    # An all-int list is still its own reading, with m = 1.
+    ints = [1, 0, 1, 1, 1, 0, 0]
+    assert _ints(ints) == (ints, 1) and _ints(ints)[0] is ints
+
+
+def test_ints_reads_a_vector_changed_in_place_anew(H2):
+    vec = [Fraction(1, 2), Fraction(1, 2), 1, 0, Fraction(3, 2), 0, 0]
+    changes = (lambda v: v.__setitem__(1, Fraction(5, 2)),
+               lambda v: v.__setitem__(1, Fraction(5, 2)),  # a new object
+               lambda v: v.append(Fraction(1, 3)),
+               lambda v: v.pop(),
+               lambda v: v.pop(),
+               lambda v: v.__setitem__(slice(None), [1, 0, 1, 1, 1, 0]),
+               lambda v: v.__setitem__(0, Fraction(1)),
+               lambda v: v.insert(0, 0))
+    for change in changes:
+        _ints(vec)
+        assert cone._last[0] is vec
+        change(vec)
+        _assert_reads_fresh(H2, lambda: vec, vec)
+
+
+def test_ints_reads_an_equal_but_different_list_anew(H2):
+    vec = [Fraction(2, 3), 0, Fraction(2, 3), Fraction(2, 3), 0, 0, 0]
+    for other in (list(vec), [Fraction(v) for v in vec], tuple(vec)):
+        _ints(vec)
+        _assert_reads_fresh(H2, lambda: other, vec)
+
+
+def test_ints_reads_a_one_shot_iterator_each_time(H2):
+    values = [1, 1, 0, 1, 0, 0, 0]
+    for form in (values, [Fraction(v, 3) for v in values]):
+        _ints(form)
+        _assert_reads_fresh(H2, lambda: iter(form), form)
+        it = iter(form)
+        _ints(it)
+        assert cone._last[0] is not it
+        # The iterator is spent: a second reading reads no entries.
+        assert _ints(it) == ([], 1)
+
+
+def test_ints_reads_a_pseudocodeword_with_new_entries_anew(H2):
+    pcw = PseudoCodeword([1, 1, 0, 1, 0, 0, 0])
+    old = pcw.entries
+    for entries in ((Fraction(1, 2),) + old[1:], old, old + (Fraction(0),),
+                    tuple(Fraction(v) for v in old)):
+        _ints(pcw)
+        assert cone._last[0] is pcw
+        pcw.entries = entries
+        _assert_reads_fresh(H2, lambda: pcw, entries)
+
+
+@pytest.mark.parametrize("odd", [0.5, Decimal("0.25"), "1/2", _Sub(1, 2),
+                                 True])
+def test_ints_never_stores_a_reading_of_other_entry_types(H2, odd):
+    vec = [Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), 0, 0, 0, 0]
+    _ints(vec)
+    vec[0] = odd
+    stored = cone._last
+    for _ in range(2):
+        _assert_reads_fresh(H2, lambda: vec, vec)
+        assert cone._last is stored
+    vec[0] = Fraction(odd)
+    _assert_reads_fresh(H2, lambda: vec, vec)
+    assert cone._last is not stored and cone._last[0] is vec
+    vec[0] = odd
+    stored = cone._last
+    _assert_reads_fresh(H2, lambda: vec, vec)
+    assert cone._last is stored
+
+
+def test_ints_memo_against_fresh_readings_on_shared_mutated_lists(H2):
+    # Three lists, mutated at random in place between reads: every public
+    # reader agrees with a fresh reading, and none writes to the stored x.
+    rng = random.Random(28)
+    pool = (0, 1, 2, Fraction(1, 2), Fraction(3, 2), Fraction(2, 3),
+            Fraction(5, 4))
+    vecs = [[rng.choice(pool) for _ in range(7)] for _ in range(3)]
+    names = sorted(_READERS)
+    for _ in range(2000):
+        vec = rng.choice(vecs)
+        step = rng.random()
+        if step < 0.3:
+            vec[rng.randrange(len(vec))] = rng.choice(pool)
+        elif step < 0.4:
+            i = rng.randrange(len(vec))
+            vec[i] = Fraction(vec[i])       # equal value, new object
+        elif step < 0.45:
+            vec.append(rng.choice(pool))
+        elif step < 0.5 and len(vec) > 6:
+            vec.pop()
+        name = rng.choice(names)
+        read = _READERS[name]
+        assert (_result(lambda: read(H2, vec))
+                == _fresh_result(read, H2, vec)), (name, vec)
+        x, m = _ints(vec)
+        before = (list(x), m)
+        assert before == _ints_via_fraction(vec), vec
+        _result(lambda: read(H2, vec))
+        assert (list(x), m) == before, name
+
+
+def test_pseudocodeword_keeps_fraction_entries():
+    half, three = Fraction(1, 2), Fraction(3)
+    entries = [half, 2, three, 0]
+    pcw = PseudoCodeword(entries)
+    assert pcw.entries[0] is half and pcw.entries[2] is three
+    assert all(type(v) is Fraction for v in pcw.entries)
+    assert pcw.entries == (half, Fraction(2), three, Fraction(0))
+    # Subclass entries are still rebuilt as exact Fractions.
+    assert type(PseudoCodeword([_Sub(1, 2)]).entries[0]) is Fraction
+
+
+def test_type_vector_get_reads_its_value_exactly():
+    t = TypeVector({Fraction(1, 2): 3, 1: 2}, 9)
+    assert t.get(1) == 2 and t.get(Fraction(1)) == 2
+    assert t.get(Fraction(1, 2)) == 3 and t.get("1/2") == 3
+    assert t.get(0) == t.get("0") == 4
+    assert t.get(Fraction(2)) == 0
+    for bad, kind in (("abc", ValueError), (None, TypeError)):
+        with pytest.raises(kind) as want:
+            Fraction(bad)
+        with pytest.raises(kind) as exc:
+            t.get(bad)
+        assert str(exc.value) == str(want.value)
 
 
 def test_type_vector_keys_read_as_fractions():
