@@ -51,10 +51,18 @@ def _weights_of(omega):
 
 def overlapping_pair(p: Plane, overlap=None):
     """First (lexicographic) pair of weight-(q+2) codewords whose supports
-    overlap in `overlap` positions (default (q+2)/2). NoSuchPair comes only
-    after every pair is read: at q = 8, the C(32704, 2) hyperoval pairs."""
+    overlap in `overlap` positions (default (q+2)/2).
+
+    Two distinct hyperovals share at most q/2 + 1 points, so a larger
+    overlap raises NoSuchPair at once. Take X on the second and off the
+    first. Each line through X meets the second in exactly one more point,
+    so the common points lie on distinct lines through X, each a secant of
+    the first; X lies on exactly (q + 2)/2 secants of the first."""
     if overlap is None:
         overlap = (p.q + 2) // 2
+    if not 0 <= overlap <= p.q // 2 + 1:
+        raise NoSuchPair(f"two distinct weight-{p.q + 2} codewords share "
+                         f"0 to {p.q // 2 + 1} positions, not {overlap}")
     for pair in _overlapping_pairs(p, overlap):
         return pair
     raise NoSuchPair(

@@ -184,14 +184,18 @@ def verify_axioms(p: Plane) -> AxiomReport:
 
 
 def _gf2_eliminate(masks):
-    """Forward-reduce bitmask rows; returns {pivot col: reduced row}."""
+    """Reduced row echelon form of bitmask rows: {top bit: row}, one pass."""
     pivots = {}
     for m in masks:
         for c, pm in pivots.items():
             if (m >> c) & 1:
                 m ^= pm
         if m:
-            pivots[m.bit_length() - 1] = m
+            c = m.bit_length() - 1
+            for c2, pm in pivots.items():
+                if (pm >> c) & 1:
+                    pivots[c2] = pm ^ m
+            pivots[c] = m
     return pivots
 
 
@@ -201,17 +205,11 @@ def gf2_rank(H: ParityCheck) -> int:
 
 def gf2_nullspace(H: ParityCheck):
     """Basis of the GF(2) nullspace (codewords) as bitmasks over columns."""
-    n = H.n_cols
     pivots = _gf2_eliminate(H.row_masks)
-    # Back-substitute to full RREF.
-    cols = sorted(pivots, reverse=True)
-    for idx, c in enumerate(cols):
-        for c2 in cols[:idx]:
-            if (pivots[c2] >> c) & 1:
-                pivots[c2] ^= pivots[c]
-    free_cols = [c for c in range(n) if c not in pivots]
     basis = []
-    for fc in free_cols:
+    for fc in range(H.n_cols):
+        if fc in pivots:
+            continue
         v = 1 << fc
         for c, pm in pivots.items():
             if (pm >> fc) & 1:
@@ -234,14 +232,10 @@ def min_weight_codewords(H: ParityCheck, w_max: int):
         raise DimensionTooLarge(f"dimension {k} exceeds the exhaustive limit 24")
     found = []
     word = 0
-    # Gray-code walk over all 2^k combinations.
-    prev = 0
+    # Gray-code walk over the nonzero sums: step idx adds basis[idx's low bit].
     for idx in range(1, 1 << k):
-        gray = idx ^ (idx >> 1)
-        flip = (gray ^ prev).bit_length() - 1
-        prev = gray
-        word ^= basis[flip]
-        if word and word.bit_count() <= w_max:
+        word ^= basis[(idx & -idx).bit_length() - 1]
+        if word.bit_count() <= w_max:
             found.append(word)
     found.sort()
     return [mask_to_vector(m, H.n_cols) for m in found]

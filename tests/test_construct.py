@@ -1,6 +1,7 @@
 """Explicit minimal-pseudo-codeword constructions and the alpha procedure."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import inf
 
 import pytest
@@ -31,10 +32,40 @@ def test_overlapping_pair_q4(plane4):
     assert len(s1 & s2) == 3
 
 
-def test_no_pair_with_excess_overlap(plane2):
-    # Distinct minimum-weight supports never share 3 of their 4 points.
-    with pytest.raises(NoSuchPair):
-        overlapping_pair(plane2, overlap=3)
+def test_no_pair_with_excess_overlap(request, plane8, monkeypatch):
+    # Distinct minimum-weight supports (hyperovals) share at most q/2 + 1
+    # points. At q = 2 and 4 each overlap from -1 to q + 3 gives the first
+    # pair of an exhaustive scan of the codebook's pairs, or NoSuchPair
+    # where the scan finds none, and q/2 + 1 is the largest overlap there.
+    for q in (2, 4):
+        p = request.getfixturevalue(f"plane{q}")
+        masks = [sum(x << i for i, x in enumerate(w))
+                 for w in request.getfixturevalue(f"codewords{q}")]
+        meets = [(a, b, (a & b).bit_count())
+                 for a, b in combinations(masks, 2)]
+        assert max(m for _, _, m in meets) == q // 2 + 1
+        for overlap in range(-1, q + 4):
+            first = next(((a, b) for a, b, m in meets if m == overlap), None)
+            if first is None:
+                with pytest.raises(NoSuchPair):
+                    overlapping_pair(p, overlap)
+            else:
+                assert overlapping_pair(p, overlap) == tuple(
+                    mask_to_vector(m, p.n) for m in first)
+    # At q = 8 an overlap above 5 raises before a hyperoval is read.
+    drawn = []
+
+    def counted(p):
+        for pts in _hyperovals(p):
+            drawn.append(pts)
+            yield pts
+
+    monkeypatch.setattr(construct, "_hyperovals", counted)
+    for overlap in range(6, 11):
+        with pytest.raises(NoSuchPair,
+                           match=f"0 to 5 positions, not {overlap}$"):
+            overlapping_pair(plane8, overlap)
+    assert drawn == []
 
 
 def test_ex3_q2(plane2):

@@ -7,10 +7,10 @@ from itertools import combinations
 import pytest
 
 from pgcone.errors import DimensionTooLarge, UnsupportedQ
-from pgcone.plane import (ParityCheck, Plane, arc_check, build_plane,
-                          find_hyperovals, gf2_nullspace, gf2_rank,
-                          incidence_matrix, min_weight_codewords,
-                          verify_axioms)
+from pgcone.plane import (ParityCheck, Plane, _gf2_eliminate, arc_check,
+                          build_plane, find_hyperovals, gf2_nullspace,
+                          gf2_rank, incidence_matrix, mask_to_vector,
+                          min_weight_codewords, verify_axioms)
 
 
 def test_q2_difference_set():
@@ -309,3 +309,58 @@ def test_find_hyperovals_q8(plane8):
     for pts in ovals:
         assert list(pts) == sorted(set(pts))
         assert arc_check(plane8, pts).is_hyperoval
+
+
+def _random_sparse(rng):
+    """A seeded random sparse matrix: n <= 12 columns, 0 to 12 rows."""
+    n = rng.randint(1, 12)
+    rows = [rng.sample(range(n), rng.randint(0, min(4, n)))
+            for _ in range(rng.randint(0, 12))]
+    return ParityCheck(rows, n)
+
+
+def test_gf2_eliminate_is_reduced_row_echelon():
+    # Each pivot is its row's top bit and is set in no other row, and the
+    # rows span the input rows.
+    rng = random.Random(29)
+    for _ in range(300):
+        H = _random_sparse(rng)
+        pivots = _gf2_eliminate(H.row_masks)
+        for c, row in pivots.items():
+            assert row.bit_length() - 1 == c
+            assert [c2 for c2, r in pivots.items() if (r >> c) & 1] == [c]
+        for m in H.row_masks:
+            for c, row in pivots.items():
+                if (m >> c) & 1:
+                    m ^= row
+            assert m == 0
+
+
+def test_gf2_nullspace_against_brute_force():
+    # n - rank independent codewords that span every word H annihilates.
+    rng = random.Random(31)
+    for _ in range(300):
+        H = _random_sparse(rng)
+        n = H.n_cols
+        basis = gf2_nullspace(H)
+        assert len(basis) == n - gf2_rank(H)
+        code = {w for w in range(1 << n)
+                if all((w & m).bit_count() % 2 == 0 for m in H.row_masks)}
+        span = {0}
+        for v in basis:
+            assert v in code and v not in span
+            span |= {w ^ v for w in span}
+        assert span == code
+
+
+def test_min_weight_codewords_lists_each_codeword_once():
+    # Every nonzero codeword once, 2^k - 1 of them, sorted by their masks.
+    rng = random.Random(37)
+    for _ in range(300):
+        H = _random_sparse(rng)
+        n = H.n_cols
+        words = min_weight_codewords(H, n)
+        code = [mask_to_vector(w, n) for w in range(1, 1 << n)
+                if all((w & m).bit_count() % 2 == 0 for m in H.row_masks)]
+        assert len(words) == 2 ** len(gf2_nullspace(H)) - 1
+        assert words == code
