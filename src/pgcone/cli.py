@@ -8,6 +8,7 @@ appear only in the human-readable summary lines (4 significant digits).
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -335,9 +336,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser dispatch reads, built on first use: not at import, and
+    once per process. It is private, so build_parser's callers get their
+    own copy to change."""
+    return build_parser()
+
+
 def dispatch(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (PgconeError, ValueError, OSError) as exc:

@@ -15,7 +15,7 @@ from math import gcd, lcm
 from operator import is_, mul
 
 from .errors import LengthMismatch, NonInteger, NotInCone
-from .plane import ParityCheck
+from .plane import ParityCheck, _bits
 
 
 def _rational(x):
@@ -370,15 +370,25 @@ def active_rank(H: ParityCheck, omega) -> int:
     """Rank of the tight-constraint coefficient matrix at omega; one scan
     gives both membership (NotInCone otherwise) and the tight set. The
     zero set Z's unit rows add |Z|; a tight cone row (j, i) off Z's columns
-    is empty if x_i = 0, so only rows with x_i > 0 are built and ranked."""
+    is empty if x_i = 0, so only rows with x_i > 0 are built and ranked.
+    A check that meets the support in two points i, k has the tight rows
+    e_k - e_i and e_i - e_k, both tight when one is, so only the first is
+    ranked."""
     violated, tight = _scan(H, omega)
     if violated is not None:
         raise NotInCone(f"vector violates {violated}")
     zero = {label[1] for label in tight if label[0] == "nonneg"}
-    pivots = [label[1:] for label in tight if label[0] == "cone"]
-    return len(zero) + integer_rank([
-        {k: -1 if k == i else 1 for k in H.rows[j] if k not in zero}
-        for j, i in pivots if i not in zero])
+    rows = []
+    paired = set()
+    for label in tight:
+        if label[0] != "cone" or label[2] in zero or label[1] in paired:
+            continue
+        j, i = label[1:]
+        row = {k: -1 if k == i else 1 for k in H.rows[j] if k not in zero}
+        if len(row) == 2:
+            paired.add(j)
+        rows.append(row)
+    return len(zero) + integer_rank(rows)
 
 
 def is_minimal(H: ParityCheck, omega) -> bool:
@@ -401,16 +411,6 @@ def type_of(omega) -> TypeVector:
 def support(omega):
     x, _ = _ints(omega)
     return frozenset(i for i, v in enumerate(x) if v)
-
-
-def _bits(mask):
-    """Indices of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _mask(n, positions):

@@ -11,12 +11,12 @@ from itertools import combinations
 from math import inf
 
 from . import weights
-from .cone import (PseudoCodeword, _bits, _check_length, _eliminate, _ints,
+from .cone import (PseudoCodeword, _check_length, _eliminate, _ints,
                    _nullspace_from_echelon, _positive, _primitive,
                    cone_constraints, integer_rank, is_member, is_minimal,
                    is_stopping_set)
 from .errors import LengthMismatch, MalformedRaySet
-from .plane import ParityCheck, mask_to_vector
+from .plane import ParityCheck, _bits, mask_to_vector
 
 
 @dataclass

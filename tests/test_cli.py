@@ -9,7 +9,7 @@ import pytest
 
 import pgcone
 from pgcone import cli, cone
-from pgcone.cli import dispatch
+from pgcone.cli import build_parser, dispatch
 from pgcone.cone import active_rank
 
 
@@ -382,3 +382,71 @@ def test_out_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("PGCONE_OUT", str(tmp_path / "envout"))
     assert dispatch(["plane", "build", "--q", "2"]) == 0
     assert (tmp_path / "envout" / "plane_q2.alist").exists()
+
+
+SHARED_PARSER_RUNS = (
+    ("rays", "histogram", "--rayset", "{rays}", "--kind", "AWGNC",
+     "--bin-width", "1/2"),
+    ("rays", "histogram", "--rayset", "{rays}", "--kind", "AWGNC"),
+    ("decode", "zero-opt", "--q", "2", "--flips", "0", "--L", "2"),
+    ("decode", "zero-opt", "--q", "2", "--flips", "0"),
+    ("plane", "build"),  # missing required --q: SystemExit 2
+    ("plane", "build", "--q", "2"),
+)
+
+
+def test_dispatch_reuses_one_parser(tmp_path, capsys, monkeypatch):
+    # Each command gives the stdout, stderr, exit code and files that a
+    # fresh parser gives, though the commands before it parsed with the
+    # same parser; an option given once does not stay for the next call.
+    rays = tmp_path / "rays"
+    assert run(rays, "rays", "enumerate", "--q", "2") == 0
+    out = tmp_path / "out"
+    builds = []
+
+    def counting():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+
+    def outcomes(fresh):
+        cli._parser.cache_clear()
+        capsys.readouterr()
+        found = []
+        for argv in SHARED_PARSER_RUNS:
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                code = run(out, *(a.format(rays=rays / "rays_q2.jsonl")
+                                  for a in argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            files = {f.name: f.read_text() for f in sorted(out.iterdir())}
+            for f in out.iterdir():
+                f.unlink()
+            found.append((code, *capsys.readouterr(), files))
+        return found
+
+    out.mkdir()
+    shared = outcomes(fresh=False)
+    assert len(builds) == 1
+    assert shared == outcomes(fresh=True)
+    assert len(builds) == 1 + len(SHARED_PARSER_RUNS)
+    codes = [found[0] for found in shared]
+    assert codes == [0, 0, 0, 0, ("exit", 2), 0]
+    assert shared[0][3] != shared[1][3]
+    assert [found[1] for found in shared[2:4]] == [
+        "ZeroStrictlyOptimal; objective 1/1\n",
+        "ZeroStrictlyOptimal; objective 1/2\n"]
+    assert "--q" in shared[4][2]
+
+
+def test_the_parser_is_not_built_at_import():
+    code = ("import pgcone.cli as cli\n"
+            "print(cli._parser.cache_info().currsize)\n")
+    src = os.path.dirname(os.path.dirname(pgcone.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0"

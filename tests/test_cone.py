@@ -786,3 +786,23 @@ def test_label_scan_matches_dense_reference(H2, H4, fixture_h, codewords2,
                 with pytest.raises(NotInCone):
                     active_rank(H, vec)
     assert min(seen.values()) >= 10, seen
+
+
+def test_active_rank_matches_every_tight_row(H2, H4, rays2, codewords2,
+                                             codewords4):
+    # A check meeting the support in two points has two tight rows, one
+    # the negative of the other; active_rank ranks one of them.
+    rays4 = enumerate_rays(H4, budget=Budget(max_rays=800))
+    rng = random.Random(3003)
+    cases = [(H2, r.canonical) for r in rays2]
+    cases += [(H4, r.canonical) for r in rays4]
+    for H, pool in ((H2, codewords2), (H4, codewords4)):
+        cases += [(H, _random_vector(rng, H.n_cols, pool, 2 + k % 2))
+                  for k in range(100)]
+    paired = 0
+    for H, vec in cases:
+        label, rank = _dense_reference(H, vec)
+        assert label is None and active_rank(H, vec) == rank, vec
+        on = {i for i, v in enumerate(vec) if v}
+        paired += any(len(on.intersection(row)) == 2 for row in H.rows)
+    assert len(cases) == 14 + 19 + 200 and paired >= 150

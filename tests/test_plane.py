@@ -7,10 +7,10 @@ from itertools import combinations
 import pytest
 
 from pgcone.errors import DimensionTooLarge, UnsupportedQ
-from pgcone.plane import (ParityCheck, Plane, _gf2_eliminate, arc_check,
-                          build_plane, find_hyperovals, gf2_nullspace,
-                          gf2_rank, incidence_matrix, mask_to_vector,
-                          min_weight_codewords, verify_axioms)
+from pgcone.plane import (AxiomReport, ParityCheck, Plane, _gf2_eliminate,
+                          arc_check, build_plane, find_hyperovals,
+                          gf2_nullspace, gf2_rank, incidence_matrix,
+                          mask_to_vector, min_weight_codewords, verify_axioms)
 
 
 def test_q2_difference_set():
@@ -96,6 +96,96 @@ def test_axioms_first_failure_is_pinned(plane2, broken, failure):
     report = verify_axioms(p)
     assert not report.ok
     assert report.failure == failure
+
+
+def _pairwise_axioms(p):
+    """The pairwise-meet oracle: the size and degree checks of
+    verify_axioms, then every pair of points and every pair of lines in
+    (a, b) order, each required to share exactly one line or point."""
+    n, q = p.n, p.q
+    for j, line in enumerate(p.lines):
+        if len(line) != q + 1:
+            return AxiomReport(False, f"line {j} has {len(line)} points")
+    on = [{j for j, line in enumerate(p.lines) if i in line}
+          for i in range(n)]
+    for i in range(n):
+        if len(on[i]) != q + 1:
+            return AxiomReport(False, f"point {i} lies on {len(on[i])} lines")
+    for a, b in combinations(range(n), 2):
+        if len(on[a] & on[b]) != 1:
+            return AxiomReport(False, f"points {a},{b} share "
+                                      f"{len(on[a] & on[b])} lines")
+    inside = [{i for i in line if 0 <= i < n} for line in p.lines]
+    for a, b in combinations(range(n), 2):
+        if len(inside[a] & inside[b]) != 1:
+            return AxiomReport(False, f"lines {a},{b} meet in "
+                                      f"{len(inside[a] & inside[b])} points")
+    return AxiomReport(True)
+
+
+def _damaged(plane, rng):
+    """A copy of the plane with one to three random faults: a point
+    dropped from a line, added to one or moved out of range; a line
+    replaced by random points; a point of one line traded for a point of
+    another (sizes and degrees kept); every line replaced by a translate
+    of one random set (sizes and degrees kept); or a line moved past the
+    n-th and its place taken by points out of range (sizes, degrees and
+    point pairs kept)."""
+    n, q = plane.n, plane.q
+    lines = [set(line) for line in plane.lines]
+    for _ in range(rng.randint(1, 3)):
+        j, k = rng.randrange(n), rng.randrange(n)
+        kind = rng.randrange(7)
+        if kind == 0 and lines[j]:
+            lines[j].discard(rng.choice(sorted(lines[j])))
+        elif kind == 1:
+            lines[j].add(rng.randrange(n))
+        elif kind == 2 and lines[j]:
+            lines[j].discard(rng.choice(sorted(lines[j])))
+            lines[j].add(rng.choice((-1, n, n + rng.randrange(1, 5))))
+        elif kind == 3:
+            lines[j] = set(rng.sample(range(n), q + 1))
+        elif kind == 4 and lines[j] - lines[k] and lines[k] - lines[j]:
+            a = rng.choice(sorted(lines[j] - lines[k]))
+            b = rng.choice(sorted(lines[k] - lines[j]))
+            lines[j] = lines[j] - {a} | {b}
+            lines[k] = lines[k] - {b} | {a}
+        elif kind == 5:
+            base = rng.sample(range(n), q + 1)
+            lines[:n] = [{(i + t) % n for i in base} for t in range(n)]
+        elif kind == 6:
+            lines.append(lines[j])
+            lines[j] = set(range(2 * n, 2 * n + q + 1))
+    return Plane(q=q, n=n, difference_set=plane.difference_set,
+                 lines=tuple(map(frozenset, lines)))
+
+
+def test_axioms_match_the_pairwise_oracle(plane2, plane4):
+    rng = random.Random(3001)
+    seen = {}
+    for plane in (plane2, plane4) * 1500:
+        p = _damaged(plane, rng)
+        report = verify_axioms(p)
+        assert report == _pairwise_axioms(p), p.lines
+        kind = "pass" if report.ok else report.failure.split()[0]
+        seen[kind] = seen.get(kind, 0) + 1
+    # Every check fails somewhere; the covers fail on the point side and,
+    # with a line moved past the n-th, on the line side.
+    assert min(seen.get(k, 0) for k in ("line", "point", "points",
+                                         "lines")) >= 50, seen
+
+
+def test_axioms_match_the_pairwise_oracle_off_the_plane_order():
+    # Translates of one set of q + 1 = 3 points mod n: every size and
+    # degree is right, but only n = 7 can give a plane. For n < 7 a cover
+    # can be full while two points share two lines.
+    rng = random.Random(3002)
+    for n in range(3, 16):
+        for _ in range(20):
+            base = rng.sample(range(n), 3)
+            p = Plane(q=2, n=n, difference_set=tuple(base), lines=tuple(
+                frozenset((i + t) % n for i in base) for t in range(n)))
+            assert verify_axioms(p) == _pairwise_axioms(p), (n, base)
 
 
 def test_incidence_matrix_shape_and_weights(H2, H4):
