@@ -80,7 +80,7 @@ def cmd_plane_build(args):
 
 
 def cmd_plane_check(args):
-    p, _ = _plane_and_matrix(args)
+    p = build_plane(args.q)
     report = verify_axioms(p)
     print("axioms pass" if report.ok else f"axioms FAIL: {report.failure}")
     return 0 if report.ok else 1
@@ -239,7 +239,7 @@ def cmd_effective(args):
 
 
 def cmd_construct_ex3(args):
-    p, H = _plane_and_matrix(args)
+    p = build_plane(args.q)
     trace = construct.ex3_minimal_pcw(p)
     _write(args, f"construct_ex3_q{args.q}.json", trace.to_json())
     aw = trace.pseudo_weights["AWGNC"]
@@ -257,7 +257,7 @@ def cmd_construct_ex5(args):
 
 
 def cmd_construct_conjecture(args):
-    p, _ = _plane_and_matrix(args)
+    p = build_plane(args.q)
     trace = construct.conjectured_family_search(
         p, max_candidates=args.max_candidates)
     _write(args, f"construct_conjecture_q{args.q}.json", trace.to_json())

@@ -15,7 +15,7 @@ from math import gcd, lcm
 from operator import is_, mul
 
 from .errors import LengthMismatch, NonInteger, NotInCone
-from .plane import ParityCheck, _bits
+from .plane import ParityCheck, _bits, _mask
 
 
 def _rational(x):
@@ -411,16 +411,6 @@ def type_of(omega) -> TypeVector:
 def support(omega):
     x, _ = _ints(omega)
     return frozenset(i for i, v in enumerate(x) if v)
-
-
-def _mask(n, positions):
-    """Bitmask of the positions; ValueError for one outside 0..n-1."""
-    mask = 0
-    for i in positions:
-        if not 0 <= i < n:
-            raise ValueError(f"out of range: positions must lie in 0..{n - 1}")
-        mask |= 1 << i
-    return mask
 
 
 def _lone(H: ParityCheck, E):

@@ -8,12 +8,12 @@ from fractions import Fraction
 from itertools import combinations, count, tee
 from math import inf
 
-from .cone import (PseudoCodeword, _ints, _mask, active_rank, is_member,
-                   is_minimal, type_of)
+from .cone import (PseudoCodeword, _ints, active_rank, is_member, is_minimal,
+                   type_of)
 from .errors import (DimensionTooLarge, NoSuchPair, NotInCone, NoZeroLinePair,
                      SearchExhausted)
-from .plane import (Plane, _hyperovals, arc_check, incidence_matrix,
-                    mask_to_vector, min_weight_codewords)
+from .plane import (Plane, _hyperovals, _mask, _nonnegative, arc_check,
+                    incidence_matrix, mask_to_vector, min_weight_codewords)
 from .weights import _channel, awgnc_pw, conjectured_wp
 
 
@@ -50,17 +50,19 @@ def _weights_of(omega):
 
 
 def overlapping_pair(p: Plane, overlap=None):
-    """First (lexicographic) pair of weight-(q+2) codewords whose supports
-    overlap in `overlap` positions (default (q+2)/2).
+    """First pair, in the pool order of `_overlapping_pairs`, of
+    weight-(q+2) codewords whose supports overlap in `overlap` positions
+    (default (q+2)/2).
 
     Two distinct hyperovals share at most q/2 + 1 points, so a larger
-    overlap raises NoSuchPair at once. Take X on the second and off the
+    overlap, or one that is not a whole number, raises NoSuchPair before
+    any codeword is read. Take X on the second and off the
     first. Each line through X meets the second in exactly one more point,
     so the common points lie on distinct lines through X, each a secant of
     the first; X lies on exactly (q + 2)/2 secants of the first."""
     if overlap is None:
         overlap = (p.q + 2) // 2
-    if not 0 <= overlap <= p.q // 2 + 1:
+    if overlap not in range(p.q // 2 + 2):
         raise NoSuchPair(f"two distinct weight-{p.q + 2} codewords share "
                          f"0 to {p.q // 2 + 1} positions, not {overlap}")
     for pair in _overlapping_pairs(p, overlap):
@@ -70,9 +72,11 @@ def overlapping_pair(p: Plane, overlap=None):
 
 
 def _overlapping_pairs(p: Plane, overlap):
-    """Codeword pairs (a, b), a before b, in lexicographic order, whose
-    supports share `overlap` points: from the exhaustive list while the code
-    dimension allows it, else from the hyperoval search, read on demand."""
+    """Codeword pairs (a, b), a before b in the pool, whose supports share
+    `overlap` points. The pool is the exhaustive list while the code
+    dimension allows it, in ascending mask (colex) order, else the
+    hyperoval search, in lexicographic order of point tuples, read on
+    demand."""
     try:
         rest = (sum(x << i for i, x in enumerate(w)) for w in
                 min_weight_codewords(incidence_matrix(p), p.q + 2))
@@ -165,9 +169,8 @@ def conjectured_family_search(p: Plane, max_candidates=None) -> ConstructionTrac
     """Search switch sets of size s = log2(q) in simplex configuration whose
     result certifies minimal; the conjecture's target type is
     t_1 = q+2, t_2 = q/2 + s + 1."""
-    if max_candidates is not None and max_candidates < 0:
-        raise ValueError(
-            f"max_candidates must be nonnegative, got {max_candidates}")
+    if max_candidates is not None:
+        _nonnegative(max_candidates, "max_candidates")
     target = conjectured_wp(p.q)
     tried = count(1)
 

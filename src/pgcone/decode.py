@@ -8,10 +8,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .cone import (PseudoCodeword, _check_length, _mask, _positive, _row,
+from .cone import (PseudoCodeword, _check_length, _positive, _row,
                    max_stopping_subset)
 from .errors import EmptyFlips, LpNotOptimal, TooManyPatterns
-from .plane import ParityCheck
+from .plane import ParityCheck, _mask
 from .simplex import EQ, GE, LE, OPTIMAL, LinearProgram, lp_solve
 import random
 
@@ -83,6 +83,8 @@ def zero_optimal(H: ParityCheck, llr: LLRVector, constraints=None) -> DecodeOutc
     def separate(x, d):
         cuts = []
         for j, support in enumerate(H.rows):
+            if not support:  # an empty check has no cone row
+                continue
             i = max(support, key=x.__getitem__)
             if 2 * x[i] > sum(x[k] for k in support):
                 cuts.append((_row(H, ("cone", j, i)), GE, 0))
@@ -147,6 +149,8 @@ def feldman_lp_decode(H: ParityCheck, llr: LLRVector):
     def separate(x, d):
         cuts = []
         for support in H.rows:
+            if not support:  # an empty check has no odd-set row
+                continue
             S, excess = _odd_set_cut(support, x, d)
             if excess > 0:
                 cuts.append(({i: 1 if i in S else -1 for i in support},

@@ -9,7 +9,7 @@ from .cone import PseudoCodeword, _check_length, _dot, _positive
 from .errors import IncompleteRaySet, LpNotOptimal
 from .rays import RaySet
 from .simplex import GE, OPTIMAL, LinearProgram, lp_solve
-from .weights import bsc_pw
+from .weights import _log2, bsc_pw
 
 FIRST = "First"
 SECOND_ONLY = "SecondOnly"
@@ -70,7 +70,9 @@ def bsc_effectiveness(rayset: RaySet, omega, L=1) -> EffectivenessReport:
 
 
 def cor8_screen(omega, q) -> str:
-    """Necessary BSC-second-kind window: q+2 <= bsc_pw <= 2q+2."""
+    """Necessary BSC-second-kind window: q+2 <= bsc_pw <= 2q+2; ValueError
+    unless q is a power of two, q >= 2."""
+    _log2(q)
     w = bsc_pw(omega)
     if q + 2 <= w <= 2 * q + 2:
         return POSSIBLY_EFFECTIVE

@@ -48,9 +48,6 @@ class ParityCheck:
         self.cols = tuple(tuple(c) for c in cols)
         self.row_masks = tuple(sum(1 << i for i in r) for r in self.rows)
 
-    def entry(self, j, i):
-        return 1 if i in self.rows[j] else 0
-
     def to_alist(self):
         """Serialize in the standard alist text format (1-indexed)."""
         col_deg = [len(c) for c in self.cols]
@@ -100,10 +97,8 @@ class ParityCheck:
         return H
 
     def to_dense_text(self):
-        lines = []
-        for j in range(self.n_rows):
-            lines.append(" ".join(str(self.entry(j, i)) for i in range(self.n_cols)))
-        return "\n".join(lines) + "\n"
+        return "\n".join(" ".join(str(m >> i & 1) for i in range(self.n_cols))
+                         for m in self.row_masks) + "\n"
 
     def matrix_id(self):
         return _digest(self.to_alist())
@@ -145,6 +140,22 @@ def build_plane(q):
 def incidence_matrix(p: Plane) -> ParityCheck:
     """Lines as rows, points as columns; circulant by construction."""
     return ParityCheck([sorted(line) for line in p.lines], p.n)
+
+
+def _nonnegative(value, name):
+    """ValueError unless value >= 0, so NaN, which compares false, fails too."""
+    if not value >= 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
+def _mask(n, positions):
+    """Bitmask of the positions; ValueError for one outside 0..n-1."""
+    mask = 0
+    for i in positions:
+        if not 0 <= i < n:
+            raise ValueError(f"out of range: positions must lie in 0..{n - 1}")
+        mask |= 1 << i
+    return mask
 
 
 def _bits(mask):
@@ -250,8 +261,7 @@ def mask_to_vector(m, n):
 
 def min_weight_codewords(H: ParityCheck, w_max: int):
     """All nonzero codewords of weight <= w_max by full codebook enumeration."""
-    if w_max < 0:
-        raise ValueError(f"w_max must be nonnegative, got {w_max}")
+    _nonnegative(w_max, "w_max")
     basis = gf2_nullspace(H)
     k = len(basis)
     if k > 24:
@@ -268,8 +278,10 @@ def min_weight_codewords(H: ParityCheck, w_max: int):
 
 
 def arc_check(p: Plane, point_set) -> ArcReport:
-    """Arc iff no line meets the set in three or more points."""
+    """Arc iff no line meets the set in three or more points; ValueError
+    for a point outside 0..n-1."""
     pts = frozenset(point_set)
+    _mask(p.n, pts)
     for j, line in enumerate(p.lines):
         if len(line & pts) > 2:
             return ArcReport(pts, False, False, violating_line=j)
@@ -310,6 +322,5 @@ def _hyperovals(p: Plane):
 
 def find_hyperovals(p: Plane, limit=1):
     """The first `limit` >= 0 hyperovals in lexicographic order."""
-    if limit < 0:
-        raise ValueError(f"limit must be nonnegative, got {limit}")
+    _nonnegative(limit, "limit")
     return list(islice(_hyperovals(p), limit))

@@ -16,7 +16,7 @@ from .cone import (PseudoCodeword, _check_length, _eliminate, _ints,
                    cone_constraints, integer_rank, is_member, is_minimal,
                    is_stopping_set)
 from .errors import LengthMismatch, MalformedRaySet
-from .plane import ParityCheck, _bits, mask_to_vector
+from .plane import ParityCheck, _bits, _nonnegative, mask_to_vector
 
 
 @dataclass
@@ -89,8 +89,8 @@ class Budget:
 
     def __post_init__(self):
         for name, limit in vars(self).items():
-            if limit is not None and not limit >= 0:
-                raise ValueError(f"{name} must be nonnegative, got {limit}")
+            if limit is not None:
+                _nonnegative(limit, name)
 
 
 def insertion_order(H: ParityCheck, seed=None):

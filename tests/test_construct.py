@@ -32,7 +32,21 @@ def test_overlapping_pair_q4(plane4):
     assert len(s1 & s2) == 3
 
 
-def test_no_pair_with_excess_overlap(request, plane8, monkeypatch):
+@pytest.fixture
+def drawn(monkeypatch):
+    """The hyperovals the constructions read from now on, in order."""
+    seen = []
+
+    def counted(p):
+        for pts in _hyperovals(p):
+            seen.append(pts)
+            yield pts
+
+    monkeypatch.setattr(construct, "_hyperovals", counted)
+    return seen
+
+
+def test_no_pair_with_excess_overlap(request, plane8, drawn):
     # Distinct minimum-weight supports (hyperovals) share at most q/2 + 1
     # points. At q = 2 and 4 each overlap from -1 to q + 3 gives the first
     # pair of an exhaustive scan of the codebook's pairs, or NoSuchPair
@@ -53,18 +67,19 @@ def test_no_pair_with_excess_overlap(request, plane8, monkeypatch):
                 assert overlapping_pair(p, overlap) == tuple(
                     mask_to_vector(m, p.n) for m in first)
     # At q = 8 an overlap above 5 raises before a hyperoval is read.
-    drawn = []
-
-    def counted(p):
-        for pts in _hyperovals(p):
-            drawn.append(pts)
-            yield pts
-
-    monkeypatch.setattr(construct, "_hyperovals", counted)
     for overlap in range(6, 11):
         with pytest.raises(NoSuchPair,
                            match=f"0 to 5 positions, not {overlap}$"):
             overlapping_pair(plane8, overlap)
+    # So does an overlap that is not a whole number, at every q; at q = 8
+    # an overlap of 1.5 once read the whole hyperoval search.
+    for q in (2, 4, 8):
+        p = request.getfixturevalue(f"plane{q}")
+        for overlap in (0.5, 1.5, Fraction(5, 2)):
+            with pytest.raises(
+                    NoSuchPair,
+                    match=f"0 to {q // 2 + 1} positions, not {overlap}$"):
+                overlapping_pair(p, overlap)
     assert drawn == []
 
 
@@ -94,38 +109,27 @@ def test_ex3_q4(plane4):
     assert len(trace.switched) == 2
 
 
-def test_ex3_q8_from_the_hyperoval_search(plane8):
+def test_ex3_q8_from_the_hyperoval_search(plane8, drawn):
     # The PG(2, 8) code is too large for the exhaustive codeword search, so
-    # the pool comes from the hyperoval search; Example 3 and the
-    # conjecture's search find the same minimal pseudo-codeword.
+    # the pool comes from the hyperoval search, read on demand: the first
+    # pair already yields the construction, so neither search reads past
+    # the second hyperoval. Example 3 and the conjecture's search find the
+    # same minimal pseudo-codeword.
     H = incidence_matrix(plane8)
     with pytest.raises(DimensionTooLarge):
         min_weight_codewords(H, 10)
-    first_two = [mask_to_vector(sum(1 << i for i in pts), plane8.n)
-                 for pts in find_hyperovals(plane8, 2)]
-    for trace in (ex3_minimal_pcw(plane8), conjectured_family_search(plane8)):
+    first_two = find_hyperovals(plane8, 2)
+    for search in (ex3_minimal_pcw, conjectured_family_search):
+        drawn.clear()
+        trace = search(plane8)
+        assert drawn == first_two
         assert trace.final_type.counts == {1: 10, 2: 8}
         assert trace.pseudo_weights["AWGNC"] == Fraction(338, 21) \
             == conjectured_wp(8)
         assert trace.ranks["final"] == 72 and is_minimal(H, trace.final)
-        assert list(trace.generators) == first_two
-
-
-def test_q8_constructions_read_two_hyperovals(plane8, monkeypatch):
-    # The pool is read on demand: the first pair already yields the
-    # construction, so no search goes past the second hyperoval.
-    drawn = []
-
-    def counted(p):
-        for pts in _hyperovals(p):
-            drawn.append(pts)
-            yield pts
-
-    monkeypatch.setattr(construct, "_hyperovals", counted)
-    for search in (ex3_minimal_pcw, conjectured_family_search):
-        drawn.clear()
-        search(plane8)
-        assert drawn == find_hyperovals(plane8, 2)
+        assert list(trace.generators) == [
+            mask_to_vector(sum(1 << i for i in pts), plane8.n)
+            for pts in first_two]
 
 
 def test_ex3_q4_switches_share_a_line(plane4):
@@ -193,10 +197,13 @@ def test_conjectured_family_candidate_budget(request, q, budget, switched):
 
 def test_conjectured_family_negative_budget_rejected(plane2):
     # A budget of -1 once ran out as SearchExhausted("candidate budget -1
-    # exhausted"); like every other budget it is now a ValueError.
-    with pytest.raises(ValueError,
-                       match="max_candidates must be nonnegative, got -1"):
-        conjectured_family_search(plane2, max_candidates=-1)
+    # exhausted"), and a NaN one left the search unbudgeted; like every
+    # other budget they are now a ValueError.
+    for budget in (-1, float("nan")):
+        with pytest.raises(
+                ValueError,
+                match=f"max_candidates must be nonnegative, got {budget}$"):
+            conjectured_family_search(plane2, max_candidates=budget)
 
 
 def test_max_alpha_empty_positions(plane2, codewords2):

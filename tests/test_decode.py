@@ -158,6 +158,24 @@ def test_decode_pivot_counts_q2(H2, pivots):
     assert len(pivots) == 362
 
 
+def test_empty_check_changes_no_decode(H2, pivots):
+    # A check with no columns (degree 0 in an alist) constrains nothing;
+    # both separation oracles once crashed on it, at max() or min() of an
+    # empty row. With one appended, every pattern decodes as before.
+    H = ParityCheck(list(H2.rows) + [[]], 7)
+    for e in (1, 2, 3):
+        for flips in combinations(range(7), e):
+            llr = llr_from_flips(7, flips, 1)
+            runs = []
+            for M in (H2, H):
+                pivots.clear()
+                out = zero_optimal(M, llr)
+                zo = (out.status, out.objective, out.certificate, len(pivots))
+                pivots.clear()
+                runs.append((zo, feldman_lp_decode(M, llr), len(pivots)))
+            assert runs[0] == runs[1]
+
+
 def test_cutting_planes_match_full_lp_q4(H4):
     rng = random.Random(5)
     for e in (1, 1, 2, 2, 3, 3):

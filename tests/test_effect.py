@@ -1,6 +1,7 @@
 """Effectiveness classification of minimal pseudo-codewords."""
 
 import json
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,7 @@ from pgcone.effect import (EXCLUDED_BY_RANGE, FIRST, NOT_EFFECTIVE,
                            POSSIBLY_EFFECTIVE, SECOND_ONLY, awgnc_first_kind,
                            bsc_effectiveness, cor8_screen)
 from pgcone.errors import IncompleteRaySet, LengthMismatch, LpNotOptimal
+from pgcone.plane import ParityCheck
 from pgcone.rays import RaySet, enumerate_rays
 from pgcone.simplex import UNBOUNDED, LpResult
 from pgcone.weights import bsc_pw
@@ -72,6 +74,35 @@ def test_cor8_screen():
     assert cor8_screen(q4_vec, 4) == EXCLUDED_BY_RANGE
     assert cor8_screen([1, 1, 1, 1, 0, 0, 0], 2) == POSSIBLY_EFFECTIVE
     assert cor8_screen([1] * 7, 2) == EXCLUDED_BY_RANGE  # weight 7 > 6
+    # q is read as every bound reads it: a power of two, q >= 2.
+    with pytest.raises(ValueError, match="q must be a power of two"):
+        cor8_screen([1, 1, 1, 1, 0, 0, 0], 3)
+
+
+def test_bsc_second_kind_only_and_not_effective():
+    # Every q = 2 ray is first kind. On this matrix double description gives
+    # rays for which no sign vector beats every other ray, so the scan runs
+    # to its end; it is checked against a scan over {+-1}^6 written here.
+    H = ParityCheck([[2, 4], [0, 1, 2, 3, 5], [0, 1, 2, 3, 4, 5],
+                     [0, 1, 2, 5]], 6)
+    rs = enumerate_rays(H)
+    assert rs.complete
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+    for ray, kind in (((0, 0, 1, 2, 1, 1), NOT_EFFECTIVE),
+                      ((0, 1, 0, 2, 0, 1), SECOND_ONLY)):
+        others = [r.canonical for r in rs if r.canonical != ray]
+        assert len(others) == len(rs) - 1
+        admissible = [s for s in product((1, -1), repeat=6)
+                      if all(dot(o, s) >= 0 for o in others)]
+        assert all(dot(ray, s) >= 0 for s in admissible)
+        ties = [s for s in admissible if dot(ray, s) == 0]
+        rep = bsc_effectiveness(rs, ray, 3)
+        assert (rep.ray, rep.channel, rep.kind) == (ray, "BSC(3)", kind)
+        assert rep.witness == (tuple(3 * x for x in ties[0]) if ties
+                               else None)
+        assert bool(ties) == (kind == SECOND_ONLY)
 
 
 def test_incomplete_rayset_rejected(rays2):

@@ -328,6 +328,14 @@ def test_min_weight_codewords_q4(H4, codewords4):
     assert all(sum(w) == 6 for w in codewords4)
 
 
+def test_min_weight_codewords_rejects_a_negative_or_nan_w_max(H2):
+    # w_max = nan once returned [], as no weight compares <= nan.
+    for w_max in (-1, float("nan")):
+        with pytest.raises(ValueError,
+                           match=f"w_max must be nonnegative, got {w_max}$"):
+            min_weight_codewords(H2, w_max)
+
+
 def test_min_weight_dimension_limit(H8):
     with pytest.raises(DimensionTooLarge):
         min_weight_codewords(H8, 10)
@@ -339,6 +347,11 @@ def test_arc_check_basics(plane2):
     line = arc_check(plane2, set(plane2.lines[0]))
     assert not line.is_arc
     assert line.violating_line is not None
+    # A point outside 0..n-1 is an error, not a point off every line: the
+    # set {0, 1, 2, 100} once passed for a hyperoval of PG(2, 2).
+    for bad in (plane2.n, -1, 100):
+        with pytest.raises(ValueError, match=r"positions must lie in 0\.\.6"):
+            arc_check(plane2, {0, 1, 2, bad})
 
 
 def test_codeword_supports_are_hyperovals(plane2, codewords2):
@@ -379,8 +392,10 @@ def test_find_hyperovals(plane2, plane4):
 
 def test_find_hyperovals_limit(plane2):
     assert find_hyperovals(plane2, limit=0) == []
-    with pytest.raises(ValueError, match="limit must be nonnegative, got -1"):
-        find_hyperovals(plane2, limit=-1)
+    for limit in (-1, float("nan")):
+        with pytest.raises(ValueError,
+                           match=f"limit must be nonnegative, got {limit}$"):
+            find_hyperovals(plane2, limit=limit)
 
 
 def test_find_hyperovals_q4_is_exhaustive(plane4, codewords4):
