@@ -109,27 +109,30 @@ def test_ex3_q4(plane4):
     assert len(trace.switched) == 2
 
 
-def test_ex3_q8_from_the_hyperoval_search(plane8, drawn):
+def test_ex3_q8_from_the_hyperoval_search(plane8):
     # The PG(2, 8) code is too large for the exhaustive codeword search, so
-    # the pool comes from the hyperoval search, read on demand: the first
-    # pair already yields the construction, so neither search reads past
-    # the second hyperoval. Example 3 and the conjecture's search find the
-    # same minimal pseudo-codeword.
+    # the pool comes from the hyperoval search; Example 3 and the
+    # conjecture's search find the same minimal pseudo-codeword.
     H = incidence_matrix(plane8)
     with pytest.raises(DimensionTooLarge):
         min_weight_codewords(H, 10)
-    first_two = find_hyperovals(plane8, 2)
-    for search in (ex3_minimal_pcw, conjectured_family_search):
-        drawn.clear()
-        trace = search(plane8)
-        assert drawn == first_two
+    first_two = [mask_to_vector(sum(1 << i for i in pts), plane8.n)
+                 for pts in find_hyperovals(plane8, 2)]
+    for trace in (ex3_minimal_pcw(plane8), conjectured_family_search(plane8)):
         assert trace.final_type.counts == {1: 10, 2: 8}
         assert trace.pseudo_weights["AWGNC"] == Fraction(338, 21) \
             == conjectured_wp(8)
         assert trace.ranks["final"] == 72 and is_minimal(H, trace.final)
-        assert list(trace.generators) == [
-            mask_to_vector(sum(1 << i for i in pts), plane8.n)
-            for pts in first_two]
+        assert list(trace.generators) == first_two
+
+
+def test_q8_constructions_read_two_hyperovals(plane8, drawn):
+    # The pool is read on demand: the first pair already yields the
+    # construction, so no search goes past the second hyperoval.
+    for search in (ex3_minimal_pcw, conjectured_family_search):
+        drawn.clear()
+        search(plane8)
+        assert drawn == find_hyperovals(plane8, 2)
 
 
 def test_ex3_q4_switches_share_a_line(plane4):
